@@ -225,10 +225,20 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_artifact(path: Path, produced_by: str) -> dict:
+def _read_artifact(path: Path, produced_by: str, parse=None):
+    """Load a stage artifact, passed through parse(doc) when given.
+
+    A missing file, malformed JSON, or content that parse rejects raises
+    ConfigError naming the file and the command that regenerates it.
+    """
     if not path.exists():
         raise ConfigError(f"missing artifact {path.name}: run `mixbit {produced_by}` first")
-    return json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+        return doc if parse is None else parse(doc)
+    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise ConfigError(f"malformed artifact {path.name} ({exc!r}): "
+                          f"rerun `mixbit {produced_by}`") from exc
 
 
 def ensure_model(cfg: PipelineConfig) -> tuple[m.ModelGraph, Path]:
@@ -244,15 +254,22 @@ def ensure_model(cfg: PipelineConfig) -> tuple[m.ModelGraph, Path]:
 
 
 def _load_distilled(cfg: PipelineConfig) -> SyntheticBatch:
-    doc = _read_artifact(_out(cfg) / ART_DISTILLED, "distill")
-    blob = (_out(cfg) / doc["blob"]).read_bytes()
-    data = np.frombuffer(blob, dtype="<f4").reshape(doc["shape"]).astype(np.float32)
-    return SyntheticBatch(
-        data=data,
-        final_loss=float(doc["final_loss"]),
-        loss_history=[float(v) for v in doc["loss_history"]],
-        seed=int(doc["seed"]),
-    )
+    out = _out(cfg)
+
+    def parse(doc: dict) -> SyntheticBatch:
+        blob = out / doc["blob"]
+        flat = np.frombuffer(blob.read_bytes(), dtype="<f4")
+        need = int(np.prod(doc["shape"]))
+        if flat.size != need:
+            raise ValueError(f"{blob.name} holds {flat.size} values, shape {doc['shape']} needs {need}")
+        return SyntheticBatch(
+            data=flat.reshape(doc["shape"]).astype(np.float32),
+            final_loss=float(doc["final_loss"]),
+            loss_history=[float(v) for v in doc["loss_history"]],
+            seed=int(doc["seed"]),
+        )
+
+    return _read_artifact(out / ART_DISTILLED, "distill", parse)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +319,8 @@ def stage_profile(cfg: PipelineConfig) -> HwProfile:
 
 
 def stage_plan(cfg: PipelineConfig) -> PlanResult:
-    report = SensitivityReport.from_dict(_read_artifact(_out(cfg) / ART_SENSITIVITY, "sense"))
-    profile = HwProfile.from_dict(_read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile"))
+    report = _read_artifact(_out(cfg) / ART_SENSITIVITY, "sense", SensitivityReport.from_dict)
+    profile = _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
     plan = plan_pipeline(report, profile, cfg.planner)
     doc = plan.to_dict()
     doc["beta"] = cfg.planner.beta
@@ -327,8 +344,7 @@ def _plan_bit_config(plan_doc: dict) -> quant.BitConfig:
 def stage_quantize(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
     batch = _load_distilled(cfg)
-    plan_doc = _read_artifact(_out(cfg) / ART_PLAN, "plan")
-    bit_cfg = _plan_bit_config(plan_doc)
+    bit_cfg = _read_artifact(_out(cfg) / ART_PLAN, "plan", _plan_bit_config)
     qm = quant.quantize_model(net, bit_cfg, batch.data)
 
     blob = bytearray()
@@ -397,29 +413,31 @@ def load_quantized(cfg: PipelineConfig) -> quant.QuantizedModel:
     return quant.QuantizedModel(net, bit_cfg, wparams, aparams, codes)
 
 
-def _variant_bits(name: str, plan_doc: dict, count: int) -> quant.BitConfig:
+def _variant_bits(name: str, planned: quant.BitConfig, count: int) -> quant.BitConfig:
     if name == "fp32":
         return quant.BitConfig.uniform(count, 32)
     if name == "int8":
         return quant.BitConfig.uniform(count, 8)
     if name == "int4":
         return quant.BitConfig.uniform(count, 4)
-    return _plan_bit_config(plan_doc)
+    return planned
 
 
 def stage_eval(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
     batch = _load_distilled(cfg)
-    plan_doc = _read_artifact(_out(cfg) / ART_PLAN, "plan")
-    profile = HwProfile.from_dict(_read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile"))
+    planned = _read_artifact(_out(cfg) / ART_PLAN, "plan", _plan_bit_config)
+    profile = _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
     xs, labels = zoo.make_eval_dataset(net, cfg.eval_samples, cfg.eval_noise, cfg.eval_seed)
     count = len(m.weighted_layers(net))
+
+    _, calib = m.forward(net, batch.data, record=True)  # shared by every variant's grids
 
     results = {}
     fp_preds = None
     for name in _EVAL_VARIANTS:
-        bit_cfg = _variant_bits(name, plan_doc, count)
-        qm = quant.quantize_model(net, bit_cfg, batch.data)
+        bit_cfg = _variant_bits(name, planned, count)
+        qm = quant.quantize_model(net, bit_cfg, batch.data, calib)
         preds = quant.quantized_forward(qm, xs).argmax(axis=1)
         if name == "fp32":
             fp_preds = preds
@@ -460,19 +478,28 @@ REPORT_SCHEMA = {
     "properties": {
         "meta": {
             "type": "object",
-            "required": ["timestamp", "tool", "version", "canonical_sha256"],
+            "required": ["timestamp", "tool", "version", "model_path", "canonical_sha256"],
             "properties": {
                 "timestamp": {"type": "string"},
                 "tool": {"type": "string"},
                 "version": {"type": "string"},
+                "model_path": {"type": "string"},
                 "canonical_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
             },
         },
         "config": {"type": "object"},
         "model": {
             "type": "object",
-            "required": ["input_shape", "class_count", "weighted_layers"],
+            "required": ["sha256", "input_shape", "class_count", "weighted_layers"],
             "properties": {
+                "sha256": {
+                    "type": "object",
+                    "required": ["manifest", "blob"],
+                    "properties": {
+                        "manifest": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+                        "blob": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+                    },
+                },
                 "input_shape": {"type": "array", "items": {"type": "integer"}},
                 "class_count": {"type": "integer"},
                 "weighted_layers": {"type": "integer"},
@@ -549,17 +576,30 @@ def _config_echo(cfg: PipelineConfig) -> dict:
     }
 
 
+# Meta fields that depend on when or where a run happened; the model itself
+# enters the hash through the sha256 of its files.
+_VOLATILE_META = ("timestamp", "model_path", "canonical_sha256")
+
+
 def canonical_hash(report: dict) -> str:
     """Hash of the report with the volatile meta fields removed."""
     doc = copy.deepcopy(report)
-    doc.get("meta", {}).pop("timestamp", None)
-    doc.get("meta", {}).pop("canonical_sha256", None)
+    for key in _VOLATILE_META:
+        doc.get("meta", {}).pop(key, None)
     return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _model_digest(path: Path) -> dict:
+    """sha256 of a model manifest and of the weight blob it names."""
+    manifest = path.read_bytes()
+    blob = (path.parent / json.loads(manifest)["blob"]).read_bytes()
+    return {"manifest": hashlib.sha256(manifest).hexdigest(), "blob": hashlib.sha256(blob).hexdigest()}
 
 
 def assemble_report(cfg: PipelineConfig) -> dict:
     """Build the final report from the stage artifacts on disk."""
     net, model_path = ensure_model(cfg)
+    digest = _model_digest(model_path)
     out = _out(cfg)
     try:
         # keep the report independent of where the output directory lives
@@ -612,10 +652,11 @@ def assemble_report(cfg: PipelineConfig) -> dict:
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool": "mixbit",
             "version": __version__,
+            "model_path": str(model_path),
         },
         "config": _config_echo(cfg),
         "model": {
-            "path": str(model_path),
+            "sha256": digest,
             "input_shape": list(net.input_shape),
             "class_count": net.class_count,
             "weighted_layers": len(m.weighted_layers(net)),

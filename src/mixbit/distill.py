@@ -82,16 +82,19 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
         raise UnsupportedLayerError("data-free distillation needs at least one BatchNorm layer")
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal((config.batch_size, *model.input_shape), dtype=np.float32)
-    initial = _loss_at(model, x, targets)
+    initial, grad = m.stat_loss_and_gradient(model, x, targets)
     threshold = _DIVERGENCE_FACTOR * max(initial, 1e-30)
     lr = np.float32(config.learning_rate)
 
     history = []
     bad_streak = 0
-    for _ in range(config.steps):
-        grad = m.input_gradient(model, x, targets)
+    for step in range(config.steps):
         x = x - lr * grad
-        cur = _loss_at(model, x, targets)
+        if step + 1 < config.steps:
+            # one pass gives this step's loss and the next step's gradient
+            cur, grad = m.stat_loss_and_gradient(model, x, targets)
+        else:
+            cur = _loss_at(model, x, targets)
         history.append(cur)
         if cur > threshold:
             bad_streak += 1

@@ -247,10 +247,6 @@ def _matmul_dims(layer, in_shape: tuple) -> tuple:
     raise UnsupportedLayerError(f"{type(layer).__name__} has no matmul form")
 
 
-def _out_elements(layer, in_shape: tuple, out_shape: tuple) -> int:
-    return int(np.prod(out_shape))
-
-
 def layer_cost(layer, in_shape: tuple, out_shape: tuple, weight_bits: int, act_bits: int,
                config: HwConfig, l_max: int | None = None) -> LayerCost:
     """Cost one layer at the given weight/activation bit-widths.
@@ -261,7 +257,7 @@ def layer_cost(layer, in_shape: tuple, out_shape: tuple, weight_bits: int, act_b
     within [min_tile_side(l_max), l_max] where l_max defaults to the
     buffer-sizing result for `config`.
     """
-    post = _out_elements(layer, in_shape, out_shape) * config.post_process_cycles_per_element
+    post = int(np.prod(out_shape)) * config.post_process_cycles_per_element
     if not isinstance(layer, m.WEIGHTED):
         cycles = post
         energy = config.static_power * cycles

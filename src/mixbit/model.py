@@ -326,18 +326,39 @@ def _avgpool_forward(layer: AvgPool, x: np.ndarray) -> np.ndarray:
     return win.mean(axis=(4, 5), dtype=np.float32)
 
 
-def run_layers(model: ModelGraph, batch: np.ndarray, weight_fn=None, input_fn=None) -> list:
-    """Apply every layer in order and return the full activation list.
+def _dead_after(model: ModelGraph) -> dict:
+    """{i: indices of the activations whose last reader is layer i}."""
+    last = {j: j for j in range(len(model.layers))}
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, ResidualAdd):
+            last[layer.source + 1] = max(last[layer.source + 1], i)
+    dead = {}
+    for j, i in last.items():
+        dead.setdefault(i, []).append(j)
+    return dead
+
+
+def run_layers(model: ModelGraph, batch: np.ndarray, weight_fn=None, input_fn=None,
+               prefix=(), keep: bool = True) -> list:
+    """Apply the layers in order and return the activation list.
 
     acts[0] is the input batch and acts[i + 1] the output of layer i.
     weight_fn(i, layer) may substitute the weight tensor of a weighted layer
     and input_fn(i, x) may transform the tensor it consumes; both default to
     identity. The fake-quantized forward pass supplies these hooks, so with
     identity hooks the arithmetic path is bitwise the plain forward pass.
+
+    `prefix` resumes an earlier run over the same batch: it holds that run's
+    acts[1..s], which must not depend on anything the hooks change for
+    layers s and later, and the run starts at layer s. With keep=False an
+    activation is replaced by None as soon as no later layer reads it, so
+    only the live tensors stay in memory and acts[-1] (the logits) is kept.
     """
-    acts = [batch]
-    for i, layer in enumerate(model.layers):
-        x = acts[-1]
+    acts = [batch, *prefix]
+    dead_after = None if keep else _dead_after(model)
+    for i in range(len(prefix), len(model.layers)):
+        layer = model.layers[i]
+        x = acts[i]
         if isinstance(layer, Conv2d):
             if input_fn is not None:
                 x = input_fn(i, x)
@@ -361,6 +382,9 @@ def run_layers(model: ModelGraph, batch: np.ndarray, weight_fn=None, input_fn=No
         if not np.isfinite(y).all():
             raise NumericFailureError(f"non-finite values after layer {i} ({layer.kind})", layer_index=i)
         acts.append(y)
+        if dead_after is not None:
+            for j in dead_after.get(i, ()):
+                acts[j] = None
     return acts
 
 
@@ -391,7 +415,7 @@ def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
     """
     validate_model(model)
     batch = _check_batch(model, batch)
-    acts = run_layers(model, batch)
+    acts = run_layers(model, batch, keep=record)
     trace = None
     if record:
         means, stds = {}, {}
@@ -457,12 +481,15 @@ def _backward_input(layer, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     raise UnsupportedLayerError(f"no backward rule for {type(layer).__name__}")
 
 
-def input_gradient(model: ModelGraph, batch: np.ndarray, target_stats: dict | None = None) -> np.ndarray:
-    """Gradient of the batch-statistic matching loss with respect to `batch`.
+def stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
+                           target_stats: dict | None = None) -> tuple[float, np.ndarray]:
+    """Batch-statistic matching loss at `batch` and its gradient with respect to `batch`.
 
     The loss is the sum over BatchNorm layers of the squared L2 distance
     between the batch mean/std of the layer's input and target statistics
-    (defaulting to the model's stored running statistics). Gradients flow
+    (defaulting to the model's stored running statistics). It is summed in
+    the same order from the same statistics as distill.bn_stat_loss over a
+    recorded forward pass, so the two agree bit for bit. Gradients flow
     through every layer between the input and each BatchNorm, including
     residual branches.
     """
@@ -475,12 +502,15 @@ def input_gradient(model: ModelGraph, batch: np.ndarray, target_stats: dict | No
     grads = [np.zeros_like(a) for a in acts]
 
     # direct statistic terms at each BN input
+    loss = 0.0
     for i, (u, sig) in targets.items():
         x = acts[i]
         m, s = _channel_stats(x)
+        du, dsig = m - u, s - sig
+        loss += float(du @ du) + float(dsig @ dsig)
         nhw = x.shape[0] * x.shape[2] * x.shape[3]
-        dm = 2.0 * (m - u) / nhw
-        ds = 2.0 * (s - sig) / (nhw * np.maximum(s, 1e-12))
+        dm = 2.0 * du / nhw
+        ds = 2.0 * dsig / (nhw * np.maximum(s, 1e-12))
         term = dm[None, :, None, None] + ds[None, :, None, None] * (x.astype(np.float64) - m[None, :, None, None])
         grads[i] += term.astype(np.float32)
 
@@ -494,7 +524,12 @@ def input_gradient(model: ModelGraph, batch: np.ndarray, target_stats: dict | No
             grads[i] += _backward_input(layer, acts[i], g)
     if not np.isfinite(grads[0]).all():
         raise NumericFailureError("non-finite input gradient", layer_index=None)
-    return grads[0]
+    return loss, grads[0]
+
+
+def input_gradient(model: ModelGraph, batch: np.ndarray, target_stats: dict | None = None) -> np.ndarray:
+    """Gradient of the batch-statistic matching loss with respect to `batch` (see stat_loss_and_gradient)."""
+    return stat_loss_and_gradient(model, batch, target_stats)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,18 @@ def _layer_bytes(bits_list) -> list[int]:
 
 @dataclass
 class PlanResult:
-    """Chosen per-layer weight bits plus solver accounting."""
+    """Chosen per-layer weight bits plus solver accounting.
+
+    wall_time_s stays out of to_dict() so that plan.json is byte-identical
+    across reruns; it is None for a result read back with from_dict().
+    """
 
     weight_bits: list
     objective: float
     achieved_size_bits: int
     limit_bits: int
     solver_cells: int
-    wall_time_s: float
+    wall_time_s: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -74,7 +78,6 @@ class PlanResult:
             "achieved_size_bits": int(self.achieved_size_bits),
             "limit_bits": int(self.limit_bits),
             "solver_cells": int(self.solver_cells),
-            "wall_time_s": float(self.wall_time_s),
         }
 
     @classmethod
@@ -85,7 +88,6 @@ class PlanResult:
             achieved_size_bits=int(d["achieved_size_bits"]),
             limit_bits=int(d["limit_bits"]),
             solver_cells=int(d["solver_cells"]),
-            wall_time_s=float(d["wall_time_s"]),
         )
 
 

@@ -11,7 +11,8 @@ fake-quantized forward is bitwise the float forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,7 +121,26 @@ def dequantize(codes: np.ndarray, params: QuantParams) -> np.ndarray:
 
 
 def fake_quantize(values: np.ndarray, params: QuantParams) -> np.ndarray:
-    return dequantize(quantize(values, params), params)
+    """dequantize(quantize(values, params), params), bit for bit, in one float64 buffer.
+
+    The same float64 operations run in the same order; only the int32 round
+    trip is skipped, which is exact because clipped codes are small integers.
+    The sign of x / scale is the sign of x, since scale is positive.
+    """
+    v = np.asarray(values)
+    if not np.isfinite(v).all():
+        raise ValueError("cannot quantize non-finite values")
+    t = v.astype(np.float64)
+    t /= params.scale
+    np.abs(t, out=t)
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, v, out=t)
+    t -= params.zero_point
+    np.clip(t, params.qmin, params.qmax, out=t)
+    t += params.zero_point
+    t *= params.scale
+    return t.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +171,10 @@ class BitConfig:
 class QuantizedModel:
     """A float model plus frozen grids and integer weight codes.
 
-    Entries are None wherever the bit config says passthrough. The base
-    model is shared, never copied; treat everything here as immutable and
-    use with_weight_codes() to derive masked variants.
+    Entries are None wherever the bit config says passthrough. `weights`
+    holds the dequantized weight of each quantized slot, computed once from
+    the codes. The base model is shared, never copied; treat everything here
+    as immutable and use with_weight_codes() to derive masked variants.
     """
 
     base: m.ModelGraph
@@ -161,20 +182,32 @@ class QuantizedModel:
     weight_params: list
     act_params: list
     weight_codes: list
+    weights: list = field(init=False)
+
+    def __post_init__(self):
+        self.weights = [None if p is None else dequantize(c, p)
+                        for p, c in zip(self.weight_params, self.weight_codes)]
 
     def with_weight_codes(self, slot: int, codes: np.ndarray) -> "QuantizedModel":
-        new_codes = list(self.weight_codes)
-        new_codes[slot] = codes
-        return replace(self, weight_codes=new_codes)
+        """Copy with one slot's codes replaced; only that slot is dequantized again."""
+        new = copy.copy(self)
+        new.weight_codes = list(self.weight_codes)
+        new.weight_codes[slot] = codes
+        new.weights = list(self.weights)
+        new.weights[slot] = dequantize(codes, self.weight_params[slot])
+        return new
 
 
-def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.ndarray) -> QuantizedModel:
+def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.ndarray,
+                   calib_trace: m.ForwardTrace | None = None) -> QuantizedModel:
     """Freeze quantization grids for every weighted layer.
 
     Weights calibrate symmetrically from their own values; activations
     calibrate asymmetrically from the tensors observed at each weighted
     layer's input during one recorded forward pass over `calib_batch`.
-    Biases and BatchNorm parameters stay in float32.
+    `calib_trace` may supply that recorded pass, so that callers quantizing
+    one model several times over the same batch run it once. Biases and
+    BatchNorm parameters stay in float32.
     """
     m.validate_model(model)
     slots = m.weighted_layers(model)
@@ -182,7 +215,9 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
         raise ConfigError(
             f"bit config covers {len(bit_config.weight_bits)} layers, model has {len(slots)} weighted layers"
         )
-    _, trace = m.forward(model, calib_batch, record=True)
+    trace = calib_trace
+    if trace is None:
+        _, trace = m.forward(model, calib_batch, record=True)
     wparams, aparams, codes = [], [], []
     for pos, idx in enumerate(slots):
         wb = bit_config.weight_bits[pos]
@@ -203,35 +238,42 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
     return QuantizedModel(model, bit_config, wparams, aparams, codes)
 
 
-def quantized_forward(qmodel: QuantizedModel, batch: np.ndarray) -> np.ndarray:
-    """Fake-quantized inference on the float32 carrier.
-
-    Each weighted layer consumes its input through its activation grid and
-    multiplies by its dequantized integer weights; everything else (bias,
-    BatchNorm, pooling, residual adds) runs in plain float32. Passthrough
-    slots reuse the original tensors, so an all-32 config is bitwise the
-    plain forward pass.
-    """
+def _quantized_run(qmodel: QuantizedModel, batch: np.ndarray, prefix, keep: bool) -> list:
     model = qmodel.base
     m.validate_model(model)
     batch = m._check_batch(model, batch)
     slot_of = {idx: pos for pos, idx in enumerate(m.weighted_layers(model))}
 
     def weight_fn(i, layer):
-        pos = slot_of[i]
-        if qmodel.weight_params[pos] is None:
-            return layer.weight
-        return dequantize(qmodel.weight_codes[pos], qmodel.weight_params[pos])
+        w = qmodel.weights[slot_of[i]]
+        return layer.weight if w is None else w
 
     def input_fn(i, x):
-        pos = slot_of[i]
-        p = qmodel.act_params[pos]
+        p = qmodel.act_params[slot_of[i]]
         if p is None:
             return x
         return fake_quantize(x, p)
 
-    acts = m.run_layers(model, batch, weight_fn=weight_fn, input_fn=input_fn)
-    return acts[-1]
+    return m.run_layers(model, batch, weight_fn=weight_fn, input_fn=input_fn, prefix=prefix, keep=keep)
+
+
+def quantized_activations(qmodel: QuantizedModel, batch: np.ndarray) -> list:
+    """Every activation of quantized_forward, in run_layers order (acts[-1] is the logits)."""
+    return _quantized_run(qmodel, batch, (), True)
+
+
+def quantized_forward(qmodel: QuantizedModel, batch: np.ndarray, prefix=()) -> np.ndarray:
+    """Fake-quantized inference on the float32 carrier.
+
+    Each weighted layer consumes its input through its activation grid and
+    multiplies by its dequantized integer weights; everything else (bias,
+    BatchNorm, pooling, residual adds) runs in plain float32. Passthrough
+    slots reuse the original tensors, so an all-32 config is bitwise the
+    plain forward pass. `prefix` (see model.run_layers) resumes from the
+    activations quantized_activations returned for a model that differs from
+    this one only at or after layer len(prefix).
+    """
+    return _quantized_run(qmodel, batch, prefix, False)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -149,16 +149,20 @@ def mqe_sensitivity(
     The reference output is the uniformly quantized model at base_bits; each
     weighted layer's score is the batch-mean KL divergence from the
     reference softmax to the softmax of the same model with round(alpha * n)
-    of that layer's weight codes zeroed.
+    of that layer's weight codes zeroed. Each masked sweep resumes from the
+    reference pass's activations at the masked layer's input.
     """
     slots = m.weighted_layers(model)
     cfg = quant.BitConfig.uniform(len(slots), base_bits)
     qm = quant.quantize_model(model, cfg, batch)
-    base_probs = softmax(quant.quantized_forward(qm, batch))
+    base_acts = quant.quantized_activations(qm, batch)
+    base_probs = softmax(base_acts[-1])
     omega = np.zeros(len(slots), dtype=np.float64)
     for pos, layer_idx in enumerate(slots):
         masked = mask_weights(qm.weight_codes[pos], MaskSpec(alpha, seed, layer_idx))
-        probs = softmax(quant.quantized_forward(qm.with_weight_codes(pos, masked), batch))
+        # layers before the masked one see the same tensors as the base pass
+        probs = softmax(quant.quantized_forward(qm.with_weight_codes(pos, masked), batch,
+                                                prefix=base_acts[1:layer_idx + 1]))
         omega[pos] = _mean_kl(base_probs, probs)
     return SensitivityReport(
         omega=omega,

@@ -112,6 +112,38 @@ class TestDeterminism:
         assert cli.canonical_hash(report_c) == cli.canonical_hash(report_a)
 
 
+    def test_hash_independent_of_model_location(self, light_config, pipeline_run, tmp_path):
+        out, report_a = pipeline_run
+        hashes = []
+        for name in ("here", "there"):
+            model_dir = tmp_path / name
+            model_dir.mkdir()
+            for f in (cli.ART_MODEL, "model.bin"):
+                (model_dir / f).write_bytes((out / f).read_bytes())
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**LIGHT, "model": str(model_dir / cli.ART_MODEL)}))
+            report = cli.assemble_report(cli.load_config(str(path), _overrides(out=str(out), seed=0)))
+            assert report["meta"]["model_path"] == str(model_dir / cli.ART_MODEL)
+            hashes.append(cli.canonical_hash(report))
+        assert hashes == [cli.canonical_hash(report_a)] * 2
+
+        # the model's bytes, unlike its location, enter the hash
+        blob = bytearray((tmp_path / "there" / "model.bin").read_bytes())
+        blob[0] ^= 1
+        (tmp_path / "there" / "model.bin").write_bytes(bytes(blob))
+        cfg = cli.load_config(str(tmp_path / "there.json"), _overrides(out=str(out), seed=0))
+        assert cli.canonical_hash(cli.assemble_report(cfg)) != hashes[0]
+
+    def test_plan_artifact_identical_across_runs(self, light_config, tmp_path):
+        plans = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            for stage in ("distill", "sense", "profile", "plan"):
+                assert cli.main([stage, "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
+            plans.append((out / cli.ART_PLAN).read_bytes())
+        assert plans[0] == plans[1]
+
+
 class TestStageFlags:
     def test_plan_ratio_extremes(self, light_config, pipeline_run):
         out, _ = pipeline_run
@@ -158,6 +190,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "distilled.json" in err
         assert "mixbit distill" in err
+
+    def test_invalid_json_artifact(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / cli.ART_SENSITIVITY).write_text('{"omega": [0.1,')
+        rc = cli.main(["plan", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sensitivity.json" in err
+        assert "mixbit sense" in err
+
+    def test_truncated_distilled_blob(self, light_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["distill", "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
+        blob = out / "distilled.bin"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        rc = cli.main(["sense", "--config", light_config, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "distilled.bin" in err
+        assert "mixbit distill" in err
+
+    def test_plan_without_weight_bits(self, light_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["distill", "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
+        (out / cli.ART_PLAN).write_text(json.dumps({"objective": 1.0}))
+        rc = cli.main(["quantize", "--config", light_config, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "plan.json" in err
+        assert "weight_bits" in err
+        assert "mixbit plan" in err
 
     def test_bad_config_value_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
