@@ -17,8 +17,10 @@ import datetime
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +40,7 @@ from .errors import (
     NumericFailureError,
 )
 from .hwsim import HwConfig, HwProfile, profile_model
-from .planner import PlannerConfig, PlanResult, plan_pipeline
+from .planner import PlannerConfig, PlanResult, blend_scores, plan_pipeline
 from .sensitivity import SensitivityReport, mqe_sensitivity, naive_sensitivity
 
 log = logging.getLogger("mixbit")
@@ -60,155 +62,177 @@ ART_EVAL = "eval.json"
 ART_REPORT_JSON = "report.json"
 ART_REPORT_CSV = "report.csv"
 
-_EVAL_VARIANTS = ("fp32", "int8", "int4", "planned")
+_UNIFORM_BITS = {"fp32": 32, "int8": 8, "int4": 4}
+_EVAL_VARIANTS = (*_UNIFORM_BITS, "planned")
 
 
-@dataclass
+@dataclass(frozen=True)
+class SenseConfig:
+    """The `sensitivity` section: mqe masking parameters, or the naive width."""
+
+    alpha: float = 0.5
+    seed: int = 0
+    method: str = "mqe"
+    base_bits: int = 8
+    naive_bits: int = 4
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"sensitivity.alpha must lie in [0, 1], got {self.alpha}")
+        if self.seed < 0:
+            raise ConfigError(f"sensitivity.seed must be non-negative, got {self.seed}")
+        if self.method not in ("mqe", "naive"):
+            raise ConfigError(f"sensitivity.method must be 'mqe' or 'naive', got {self.method!r}")
+        if self.base_bits not in (4, 8):
+            raise ConfigError(f"sensitivity.base_bits must be 4 or 8, got {self.base_bits}")
+        if self.naive_bits not in (4, 8, 32):
+            raise ConfigError(f"sensitivity.naive_bits must be 4, 8, or 32, got {self.naive_bits}")
+
+
+@dataclass(frozen=True)
+class CliPlannerConfig(PlannerConfig):
+    """The `planner` section: PlannerConfig plus the activation-width mode.
+
+    gamma left unset follows 1 - beta, and ratio left unset is 0.5 unless
+    limit_bits is given.
+    """
+
+    gamma: float | None = None
+    ratio: float | None = None
+    activation_bits: str = "plan"
+
+    def __post_init__(self):
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", 1.0 - self.beta)
+        if self.ratio is None and self.limit_bits is None:
+            object.__setattr__(self, "ratio", 0.5)
+        super().__post_init__()
+        if self.activation_bits not in ("plan", "8"):
+            raise ConfigError(f"planner.activation_bits must be 'plan' or '8', got {self.activation_bits!r}")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The `eval` section: size, input noise and seed of the synthetic eval set."""
+
+    samples: int = 256
+    noise: float = 0.1
+    seed: int = 1
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ConfigError(f"eval.samples must be >= 1, got {self.samples}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ConfigError(f"eval.noise must be finite and non-negative, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"eval.seed must be non-negative, got {self.seed}")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
-    model_path: str | None
-    output_dir: str
-    seed: int
-    distill: DistillConfig
-    alpha: float
-    sense_seed: int
-    method: str
-    base_bits: int
-    naive_bits: int
-    hardware: HwConfig
-    planner: PlannerConfig
-    activation_bits: str  # "plan" or "8"
-    eval_samples: int
-    eval_noise: float
-    eval_seed: int
+    """The whole config file; each section field is built from its JSON object."""
+
+    model: str | None = None
+    output_dir: str = "out"
+    seed: int = 0
+    distill: DistillConfig = DistillConfig()
+    sensitivity: SenseConfig = SenseConfig()
+    hardware: HwConfig = HwConfig()
+    planner: CliPlannerConfig = CliPlannerConfig()
+    eval: EvalConfig = EvalConfig()
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
+    # Acceptance criterion 11 reads these three names; no other alias exists.
+    @property
+    def eval_samples(self) -> int:
+        return self.eval.samples
+
+    @property
+    def eval_noise(self) -> float:
+        return self.eval.noise
+
+    @property
+    def eval_seed(self) -> int:
+        return self.eval.seed
 
 
-def _take(section: dict, path: str, key: str, default, caster):
-    if key not in section:
-        return default
-    try:
-        return caster(section[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from exc
+# argparse dest -> (dotted config key the flag sets, sibling key it drops)
+_FLAGS = {
+    "out": ("output_dir", None),
+    "seed": ("seed", None),
+    "ratio": ("planner.ratio", "limit_bits"),
+    "alpha": ("sensitivity.alpha", None),
+    "beta": ("planner.beta", "gamma"),
+    "method": ("sensitivity.method", None),
+    "bits_activations": ("planner.activation_bits", None),
+}
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_known(section: dict, path: str, known) -> None:
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown configuration key")
+def _typed(value, hint, where: str):
+    """value checked against a field's JSON type; ints widen to float fields."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{where}: expected {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _build(cls, doc, path: str, defaults: dict):
+    """Instantiate dataclass cls from the JSON object doc.
+
+    Section fields recurse into their own objects; a key missing from doc
+    takes defaults[key], else the field's own default.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path.rstrip('.')}: must be a JSON object, got {json.dumps(doc)}")
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"{path}{key}: unknown configuration key")
+    kwargs = {}
+    for name in names:
+        if dataclasses.is_dataclass(hints[name]):
+            kwargs[name] = _build(hints[name], doc.get(name, {}), f"{path}{name}.", defaults.get(name, {}))
+        elif name in doc:
+            kwargs[name] = _typed(doc[name], hints[name], f"{path}{name}")
+        elif name in defaults:
+            kwargs[name] = defaults[name]
+    return cls(**kwargs)
 
 
 def load_config(config_path: str | None, overrides: argparse.Namespace) -> PipelineConfig:
     """Merge config file and command-line overrides into one resolved config."""
-    raw = {}
+    doc = {}
     if config_path:
         try:
-            raw = json.loads(Path(config_path).read_text())
+            doc = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-        if not isinstance(raw, dict):
+        if not isinstance(doc, dict):
             raise ConfigError("config: top level must be a JSON object")
-    _check_known(raw, "config", {"model", "output_dir", "seed", "distill", "sensitivity",
-                                 "hardware", "planner", "eval"})
-
-    seed = _take(raw, "config", "seed", 0, int)
-    if overrides.seed is not None:
-        seed = overrides.seed
-    if seed < 0:
-        raise ConfigError(f"seed: must be non-negative, got {seed}")
-
-    dsec = raw.get("distill", {})
-    _check_known(dsec, "distill", {"batch_size", "steps", "learning_rate", "seed"})
-    try:
-        dcfg = DistillConfig(
-            batch_size=_take(dsec, "distill", "batch_size", 32, int),
-            steps=_take(dsec, "distill", "steps", 500, int),
-            learning_rate=_take(dsec, "distill", "learning_rate", 0.1, float),
-            seed=_take(dsec, "distill", "seed", seed, int),
-        )
-    except ConfigError:
-        raise
-
-    ssec = raw.get("sensitivity", {})
-    _check_known(ssec, "sensitivity", {"alpha", "seed", "method", "base_bits", "naive_bits"})
-    alpha = _take(ssec, "sensitivity", "alpha", 0.5, float)
-    if overrides.alpha is not None:
-        alpha = overrides.alpha
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"sensitivity.alpha: must lie in [0, 1], got {alpha}")
-    method = _take(ssec, "sensitivity", "method", "mqe", str)
-    if overrides.method is not None:
-        method = overrides.method
-    if method not in ("mqe", "naive"):
-        raise ConfigError(f"sensitivity.method: must be 'mqe' or 'naive', got {method!r}")
-    base_bits = _take(ssec, "sensitivity", "base_bits", 8, int)
-    if base_bits not in (4, 8):
-        raise ConfigError(f"sensitivity.base_bits: must be 4 or 8, got {base_bits}")
-    naive_bits = _take(ssec, "sensitivity", "naive_bits", 4, int)
-    if naive_bits not in (4, 8, 32):
-        raise ConfigError(f"sensitivity.naive_bits: must be 4, 8, or 32, got {naive_bits}")
-
-    hsec = raw.get("hardware", {})
-    hw_fields = {f.name for f in dataclasses.fields(HwConfig)}
-    _check_known(hsec, "hardware", hw_fields)
-    try:
-        hw = HwConfig(**{k: v for k, v in hsec.items()})
-    except TypeError as exc:
-        raise ConfigError(f"hardware: {exc}") from exc
-
-    psec = raw.get("planner", {})
-    _check_known(psec, "planner", {"beta", "gamma", "ratio", "limit_bits", "activation_bits"})
-    beta = _take(psec, "planner", "beta", 0.5, float)
-    gamma = _take(psec, "planner", "gamma", None, float)
-    if overrides.beta is not None:
-        beta = overrides.beta
-        gamma = None
-    if gamma is None:
-        gamma = 1.0 - beta
-    ratio = _take(psec, "planner", "ratio", None, float)
-    limit_bits = _take(psec, "planner", "limit_bits", None, int)
-    if overrides.ratio is not None:
-        ratio = overrides.ratio
-        limit_bits = None
-    if ratio is None and limit_bits is None:
-        ratio = 0.5
-    planner_cfg = PlannerConfig(beta=beta, gamma=gamma, ratio=ratio, limit_bits=limit_bits)
-    act_bits = str(_take(psec, "planner", "activation_bits", "plan", str))
-    if overrides.bits_activations is not None:
-        act_bits = overrides.bits_activations
-    if act_bits not in ("plan", "8"):
-        raise ConfigError(f"planner.activation_bits: must be 'plan' or '8', got {act_bits!r}")
-
-    esec = raw.get("eval", {})
-    _check_known(esec, "eval", {"samples", "noise", "seed"})
-    eval_samples = _take(esec, "eval", "samples", 256, int)
-    if eval_samples < 1:
-        raise ConfigError(f"eval.samples: must be >= 1, got {eval_samples}")
-    eval_noise = _take(esec, "eval", "noise", 0.1, float)
-    if eval_noise < 0:
-        raise ConfigError(f"eval.noise: must be non-negative, got {eval_noise}")
-    eval_seed = _take(esec, "eval", "seed", seed + 1, int)
-
-    out_dir = _take(raw, "config", "output_dir", "out", str)
-    if overrides.out is not None:
-        out_dir = overrides.out
-
-    return PipelineConfig(
-        model_path=_take(raw, "config", "model", None, str),
-        output_dir=out_dir,
-        seed=seed,
-        distill=dcfg,
-        alpha=alpha,
-        sense_seed=_take(ssec, "sensitivity", "seed", seed, int),
-        method=method,
-        base_bits=base_bits,
-        naive_bits=naive_bits,
-        hardware=hw,
-        planner=planner_cfg,
-        activation_bits=act_bits,
-        eval_samples=eval_samples,
-        eval_noise=eval_noise,
-        eval_seed=eval_seed,
-    )
+    for dest, (key, drops) in _FLAGS.items():
+        value = getattr(overrides, dest)
+        if value is None:
+            continue
+        section, _, leaf = key.rpartition(".")
+        target = doc.setdefault(section, {}) if section else doc
+        if isinstance(target, dict):  # _build rejects a section that is not an object
+            target[leaf] = value
+            target.pop(drops, None)
+    # the first build checks the master seed that unset sub-seeds then follow
+    seed = _build(PipelineConfig, doc, "", {}).seed
+    return _build(PipelineConfig, doc, "", {"distill": {"seed": seed}, "sensitivity": {"seed": seed},
+                                            "eval": {"seed": seed + 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +267,8 @@ def _read_artifact(path: Path, produced_by: str, parse=None):
 
 def ensure_model(cfg: PipelineConfig) -> tuple[m.ModelGraph, Path]:
     """Load the configured model, or materialize the bundled toy CNN."""
-    if cfg.model_path:
-        path = Path(cfg.model_path)
+    if cfg.model:
+        path = Path(cfg.model)
         return m.load_model(path), path
     path = _out(cfg) / ART_MODEL
     if not path.exists():
@@ -298,11 +322,11 @@ def stage_distill(cfg: PipelineConfig) -> SyntheticBatch:
 def stage_sense(cfg: PipelineConfig) -> SensitivityReport:
     net, _ = ensure_model(cfg)
     batch = _load_distilled(cfg)
-    if cfg.method == "mqe":
-        report = mqe_sensitivity(net, batch.data, alpha=cfg.alpha, seed=cfg.sense_seed,
-                                 base_bits=cfg.base_bits)
+    sc = cfg.sensitivity
+    if sc.method == "mqe":
+        report = mqe_sensitivity(net, batch.data, alpha=sc.alpha, seed=sc.seed, base_bits=sc.base_bits)
     else:
-        report = naive_sensitivity(net, batch.data, bits=cfg.naive_bits)
+        report = naive_sensitivity(net, batch.data, bits=sc.naive_bits)
     _write_json(_out(cfg) / ART_SENSITIVITY, report.to_dict())
     log.info("sensitivity (%s): %s", report.method, np.round(report.omega, 6).tolist())
     return report
@@ -322,12 +346,7 @@ def stage_plan(cfg: PipelineConfig) -> PlanResult:
     report = _read_artifact(_out(cfg) / ART_SENSITIVITY, "sense", SensitivityReport.from_dict)
     profile = _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
     plan = plan_pipeline(report, profile, cfg.planner)
-    doc = plan.to_dict()
-    doc["beta"] = cfg.planner.beta
-    doc["gamma"] = cfg.planner.gamma
-    doc["ratio"] = cfg.planner.ratio
-    doc["activation_bits"] = cfg.activation_bits
-    _write_json(_out(cfg) / ART_PLAN, doc)
+    _write_json(_out(cfg) / ART_PLAN, {**dataclasses.asdict(cfg.planner), **plan.to_dict()})
     log.info("plan: %s (objective %.6g)", plan.weight_bits, plan.objective)
     return plan
 
@@ -390,45 +409,12 @@ def stage_quantize(cfg: PipelineConfig) -> dict:
     return doc
 
 
-def load_quantized(cfg: PipelineConfig) -> quant.QuantizedModel:
-    """Rebuild a QuantizedModel from the quantize stage's artifacts."""
-    net, _ = ensure_model(cfg)
-    doc = _read_artifact(_out(cfg) / ART_QUANTIZED, "quantize")
-    flat = np.frombuffer((_out(cfg) / doc["blob"]).read_bytes(), dtype="<i1")
-    bit_cfg = quant.BitConfig([int(b) for b in doc["weight_bits"]],
-                              [int(b) for b in doc["activation_bits"]])
-    wparams, aparams, codes = [], [], []
-    for entry in doc["layers"]:
-        w = entry["weight"]
-        if w is None:
-            wparams.append(None)
-            codes.append(None)
-        else:
-            wparams.append(quant.QuantParams(w["scale"], w["zero_point"], w["bits"], w["symmetric"]))
-            codes.append(flat[w["offset"]:w["offset"] + w["count"]]
-                         .reshape(w["shape"]).astype(np.int32))
-        a = entry["activation"]
-        aparams.append(None if a is None else
-                       quant.QuantParams(a["scale"], a["zero_point"], a["bits"], a["symmetric"]))
-    return quant.QuantizedModel(net, bit_cfg, wparams, aparams, codes)
-
-
-def _variant_bits(name: str, planned: quant.BitConfig, count: int) -> quant.BitConfig:
-    if name == "fp32":
-        return quant.BitConfig.uniform(count, 32)
-    if name == "int8":
-        return quant.BitConfig.uniform(count, 8)
-    if name == "int4":
-        return quant.BitConfig.uniform(count, 4)
-    return planned
-
-
 def stage_eval(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
     batch = _load_distilled(cfg)
     planned = _read_artifact(_out(cfg) / ART_PLAN, "plan", _plan_bit_config)
     profile = _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
-    xs, labels = zoo.make_eval_dataset(net, cfg.eval_samples, cfg.eval_noise, cfg.eval_seed)
+    xs, labels = zoo.make_eval_dataset(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed)
     count = len(m.weighted_layers(net))
 
     _, calib = m.forward(net, batch.data, record=True)  # shared by every variant's grids
@@ -436,7 +422,7 @@ def stage_eval(cfg: PipelineConfig) -> dict:
     results = {}
     fp_preds = None
     for name in _EVAL_VARIANTS:
-        bit_cfg = _variant_bits(name, planned, count)
+        bit_cfg = quant.BitConfig.uniform(count, _UNIFORM_BITS[name]) if name in _UNIFORM_BITS else planned
         qm = quant.quantize_model(net, bit_cfg, batch.data, calib)
         preds = quant.quantized_forward(qm, xs).argmax(axis=1)
         if name == "fp32":
@@ -452,12 +438,7 @@ def stage_eval(cfg: PipelineConfig) -> dict:
             "weight_bits_total": size.weight_bits,
             "total_bits": size.total_bits,
         }
-    doc = {
-        "samples": cfg.eval_samples,
-        "noise": cfg.eval_noise,
-        "seed": cfg.eval_seed,
-        "variants": results,
-    }
+    doc = {**dataclasses.asdict(cfg.eval), "variants": results}
     _write_json(_out(cfg) / ART_EVAL, doc)
     for name in _EVAL_VARIANTS:
         r = results[name]
@@ -558,24 +539,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _config_echo(cfg: PipelineConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "distill": dataclasses.asdict(cfg.distill),
-        "sensitivity": {
-            "alpha": cfg.alpha, "seed": cfg.sense_seed, "method": cfg.method,
-            "base_bits": cfg.base_bits, "naive_bits": cfg.naive_bits,
-        },
-        "hardware": dataclasses.asdict(cfg.hardware),
-        "planner": {
-            "beta": cfg.planner.beta, "gamma": cfg.planner.gamma,
-            "ratio": cfg.planner.ratio, "limit_bits": cfg.planner.limit_bits,
-            "activation_bits": cfg.activation_bits,
-        },
-        "eval": {"samples": cfg.eval_samples, "noise": cfg.eval_noise, "seed": cfg.eval_seed},
-    }
-
-
 # Meta fields that depend on when or where a run happened; the model itself
 # enters the hash through the sha256 of its files.
 _VOLATILE_META = ("timestamp", "model_path", "canonical_sha256")
@@ -612,14 +575,9 @@ def assemble_report(cfg: PipelineConfig) -> dict:
     quant_doc = _read_artifact(out / ART_QUANTIZED, "quantize")
     eval_doc = _read_artifact(out / ART_EVAL, "eval")
 
-    from .planner import normalize  # local import keeps module load light
-
     omega = np.asarray(sense_doc["omega"], dtype=np.float64)
-    c8 = profile.vector(8, "total_cycles")
-    e8 = profile.vector(8, "energy")
-    w_hat, c_hat, e_hat = normalize(omega), normalize(c8), normalize(e8)
-    beta, gamma = float(plan_doc["beta"]), float(plan_doc["gamma"])
-    scores = beta * w_hat - (gamma / 2.0) * (c_hat + e_hat)
+    w_hat, c_hat, e_hat, scores = blend_scores(omega, profile, float(plan_doc["beta"]),
+                                               float(plan_doc["gamma"]))
 
     layer_rows = []
     bits = [int(b) for b in plan_doc["weight_bits"]]
@@ -654,7 +612,7 @@ def assemble_report(cfg: PipelineConfig) -> dict:
             "version": __version__,
             "model_path": str(model_path),
         },
-        "config": _config_echo(cfg),
+        "config": {k: v for k, v in dataclasses.asdict(cfg).items() if k not in ("model", "output_dir")},
         "model": {
             "sha256": digest,
             "input_shape": list(net.input_shape),

@@ -8,6 +8,7 @@ real data, and no weight updates are involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class DistillConfig:
             raise ConfigError(f"distill.batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 1:
             raise ConfigError(f"distill.steps must be >= 1, got {self.steps}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"distill.learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"distill.learning_rate must be positive and finite, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"distill.seed must be non-negative, got {self.seed}")
 

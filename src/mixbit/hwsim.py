@@ -58,8 +58,10 @@ class HwConfig:
                 raise ConfigError(f"hardware.{name} must be a positive integer, got {v!r}")
         if self.lanes & (self.lanes - 1):
             raise ConfigError(f"hardware.lanes must be a power of 2, got {self.lanes}")
-        if self.static_power < 0 or self.active_power_per_lane < 0:
-            raise ConfigError("hardware power coefficients must be non-negative")
+        for name in ("static_power", "active_power_per_lane"):
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ConfigError(f"hardware.{name} must be finite and non-negative, got {v}")
 
 
 @dataclass(frozen=True)
@@ -143,31 +145,6 @@ def tile_side(side: int, l_max: int, l_min: int) -> int:
     threshold = (2 ** n + 2 ** (n + 1)) / 2
     t = 2 ** (n + 1) if side > threshold else 2 ** n
     return min(t, l_max)
-
-
-@dataclass(frozen=True)
-class TilePlan:
-    """Tile choices for a list of matrix sides."""
-
-    sides: tuple
-    tiles: tuple
-    padded: tuple
-    grids: tuple
-    l_max: int
-    l_min: int
-
-
-def split_matrix(sides, l_max: int, l_min: int) -> TilePlan:
-    """Apply the tile-side rule to each listed side independently.
-
-    Returns per-side tile lengths, zero-padded extents (the next multiple of
-    the tile), and the resulting tile counts.
-    """
-    sides = tuple(int(s) for s in sides)
-    tiles = tuple(tile_side(s, l_max, l_min) for s in sides)
-    grids = tuple(-(-s // t) for s, t in zip(sides, tiles))
-    padded = tuple(g * t for g, t in zip(grids, tiles))
-    return TilePlan(sides=sides, tiles=tiles, padded=padded, grids=grids, l_max=l_max, l_min=l_min)
 
 
 def transfer_volume(side: int, tile: int) -> int:

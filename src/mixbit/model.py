@@ -254,28 +254,6 @@ def _im2col_batch(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return win.reshape(n, c * kh * kw, oh * ow)
 
 
-def im2col(feature: np.ndarray, conv: Conv2d) -> np.ndarray:
-    """Unfold one (C, H, W) feature map for `conv` into a 2-d matrix.
-
-    Rows enumerate (channel, kernel row, kernel col); each column is one
-    sliding-window position in row-major output order, so the product
-    kernel_matrix(conv) @ im2col(x, conv) is the convolution.
-    """
-    f = np.ascontiguousarray(feature, dtype=np.float32)
-    if f.ndim != 3:
-        raise ShapeMismatchError(f"expected a single (C, H, W) feature map, got shape {f.shape}")
-    if f.shape[0] != conv.in_channels:
-        raise ShapeMismatchError(f"feature has {f.shape[0]} channels, conv expects {conv.in_channels}")
-    _conv_out_hw(f.shape[1], f.shape[2], conv)
-    xp = _pad2d(f[None], conv.padding)
-    return _im2col_batch(xp, conv.kernel_h, conv.kernel_w, conv.stride)[0]
-
-
-def kernel_matrix(conv: Conv2d) -> np.ndarray:
-    """Conv kernel flattened to (out_c, in_c*k_h*k_w), matching im2col rows."""
-    return conv.weight.reshape(conv.out_channels, -1)
-
-
 def _conv_forward(layer: Conv2d, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     oh, ow = _conv_out_hw(x.shape[2], x.shape[3], layer)
     xp = _pad2d(x, layer.padding)
@@ -285,18 +263,6 @@ def _conv_forward(layer: Conv2d, x: np.ndarray, weight: np.ndarray) -> np.ndarra
     if layer.bias is not None:
         out = out + layer.bias[None, :, None, None]
     return out
-
-
-def conv_via_matmul(feature: np.ndarray, conv: Conv2d) -> np.ndarray:
-    """Convolution evaluated as kernel-matrix times im2col matrix."""
-    f = np.ascontiguousarray(feature, dtype=np.float32)
-    single = f.ndim == 3
-    if single:
-        f = f[None]
-    if f.ndim != 4 or f.shape[1] != conv.in_channels:
-        raise ShapeMismatchError(f"feature shape {feature.shape} does not fit conv input")
-    out = _conv_forward(conv, f, conv.weight)
-    return out[0] if single else out
 
 
 def _linear_forward(layer: Linear, x: np.ndarray, weight: np.ndarray) -> np.ndarray:

@@ -207,22 +207,27 @@ def resolve_limit(config: PlannerConfig, sizes4, sizes8) -> int:
     return int(round(s4 + config.ratio * (s8 - s4)))
 
 
+def blend_scores(sensitivity, profile: HwProfile, beta: float, gamma: float) -> tuple:
+    """Min-max normalize sensitivity and the profile's 8-bit cycles and energy, then blend.
+
+    Returns (w_hat, c_hat, e_hat, scores); the planner solves on the scores
+    and the report prints all four.
+    """
+    w_hat = normalize(sensitivity)
+    c_hat = normalize(profile.vector(8, "total_cycles"))
+    e_hat = normalize(profile.vector(8, "energy"))
+    return w_hat, c_hat, e_hat, omega(w_hat, c_hat, e_hat, beta, gamma)
+
+
 def plan_pipeline(report: SensitivityReport, profile: HwProfile,
                   config: PlannerConfig = PlannerConfig()) -> PlanResult:
-    """Blend a sensitivity report with an 8-bit hardware profile and solve.
-
-    Cycle and energy columns come from the profile's 8-bit rows; all three
-    inputs are min-max normalized before blending.
-    """
+    """Blend a sensitivity report with an 8-bit hardware profile and solve."""
     n = len(profile.layer_indices())
     if report.omega.size != n:
         raise ConfigError(
             f"sensitivity report covers {report.omega.size} layers, profile covers {n}"
         )
-    w_hat = normalize(report.omega)
-    c_hat = normalize(profile.vector(8, "total_cycles"))
-    e_hat = normalize(profile.vector(8, "energy"))
-    scores = omega(w_hat, c_hat, e_hat, config.beta, config.gamma)
+    *_, scores = blend_scores(report.omega, profile, config.beta, config.gamma)
     elems = profile.weight_elems()
     sizes4 = [e * BIT_LOW for e in elems]
     sizes8 = [e * BIT_HIGH for e in elems]

@@ -2,9 +2,11 @@ import argparse
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from mixbit import cli
+from mixbit import cli, planner, quant
+from mixbit import model as m
 
 
 LIGHT = {
@@ -60,6 +62,11 @@ class TestPipeline:
             assert row["cycles"]["total"] == sum(
                 row["cycles"][k] for k in ("compute", "transfer", "write_back", "post_process"))
 
+    def test_report_scores_are_the_planned_scores(self, pipeline_run):
+        _, report = pipeline_run
+        scores = [row["score"] for row in report["layers"]]
+        assert planner.plan_objective(scores, report["plan"]["weight_bits"]) == report["plan"]["objective"]
+
     def test_size_within_limit(self, pipeline_run):
         _, report = pipeline_run
         assert report["sizes"]["weight_bits_total"] <= report["sizes"]["limit_bits"]
@@ -79,6 +86,23 @@ class TestPipeline:
     def test_embedded_hash_is_self_consistent(self, pipeline_run):
         _, report = pipeline_run
         assert report["meta"]["canonical_sha256"] == cli.canonical_hash(report)
+
+    def test_quantized_blob_holds_each_layers_codes(self, pipeline_run):
+        out, _ = pipeline_run
+        doc = json.loads((out / cli.ART_QUANTIZED).read_text())
+        blob = np.frombuffer((out / doc["blob"]).read_bytes(), dtype="<i1")
+        net = m.load_model(out / cli.ART_MODEL)
+        end = 0
+        for entry in doc["layers"]:
+            w = entry["weight"]
+            assert w["offset"] == end  # layers follow each other with no gap or overlap
+            assert w["count"] == int(np.prod(w["shape"]))
+            end += w["count"]
+            grid = quant.QuantParams(w["scale"], w["zero_point"], w["bits"], w["symmetric"])
+            codes = blob[w["offset"]:end].reshape(w["shape"])
+            want = quant.quantize(net.layers[entry["layer_index"]].weight, grid)
+            np.testing.assert_array_equal(codes, want)
+        assert end == blob.size
 
     def test_csv_row_count(self, pipeline_run):
         out, report = pipeline_run
@@ -133,6 +157,16 @@ class TestDeterminism:
         (tmp_path / "there" / "model.bin").write_bytes(bytes(blob))
         cfg = cli.load_config(str(tmp_path / "there.json"), _overrides(out=str(out), seed=0))
         assert cli.canonical_hash(cli.assemble_report(cfg)) != hashes[0]
+
+    def test_integer_and_float_spellings_hash_alike(self, tmp_path):
+        hashes = []
+        for power in (2, 2.0):  # json.dumps writes these as 2 and 2.0
+            path = tmp_path / f"power_{power}.json"
+            path.write_text(json.dumps({**LIGHT, "hardware": {"static_power": power}}))
+            out = tmp_path / f"out_{power}"
+            assert cli.main(["pipeline", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+            hashes.append(json.loads((out / cli.ART_REPORT_JSON).read_text())["meta"]["canonical_sha256"])
+        assert hashes[0] == hashes[1]
 
     def test_plan_artifact_identical_across_runs(self, light_config, tmp_path):
         plans = []
@@ -230,6 +264,27 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
         assert "planner.ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"distill": 5}', "distill"),
+        ('{"hardware": []}', "hardware"),
+        ('{"eval": {"seed": -1}}', "eval.seed"),
+        ('{"eval": {"noise": NaN}}', "eval.noise"),
+        ('{"hardware": {"static_power": NaN}}', "hardware.static_power"),
+        ('{"distill": {"learning_rate": Infinity}}', "distill.learning_rate"),
+        ('{"sensitivity": {"seed": -3}}', "sensitivity.seed"),
+        ('{"seed": 2.7}', "seed"),
+        ('{"seed": true}', "seed"),
+        ('{"distill": {"steps": 2.9}}', "distill.steps"),
+        ('{"planner": {"beta": "0.5"}}', "planner.beta"),
+        ('{"output_dir": null}', "output_dir"),
+    ])
+    def test_bad_config_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, text, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(text)
+        assert cli.main(["pipeline", "--config", "bad.json"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]  # no stage wrote anything
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sensitivity": {"alfa": 0.5}}))
@@ -279,7 +334,7 @@ class TestLoadConfig:
         cfg = cli.load_config(None, _overrides())
         assert cfg.seed == 0
         assert cfg.planner.ratio == 0.5
-        assert cfg.activation_bits == "plan"
-        assert cfg.method == "mqe"
+        assert cfg.planner.activation_bits == "plan"
+        assert cfg.sensitivity.method == "mqe"
         assert cfg.distill.steps == 500
-        assert cfg.eval_samples == 256
+        assert cfg.eval.samples == 256

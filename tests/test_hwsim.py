@@ -83,23 +83,6 @@ class TestTileSide:
             hwsim.tile_side(0, 32, 8)
 
 
-class TestSplitMatrix:
-    def test_plan_fields(self):
-        plan = hwsim.split_matrix((16, 27, 64), 32, 8)
-        assert plan.tiles == (16, 32, 16)
-        assert plan.grids == (1, 1, 4)
-        assert plan.padded == (16, 32, 64)
-
-    def test_padding_invariants(self):
-        rng = np.random.default_rng(0)
-        sides = rng.integers(1, 300, size=40)
-        plan = hwsim.split_matrix(sides, 32, 8)
-        for s, t, p, g in zip(plan.sides, plan.tiles, plan.padded, plan.grids):
-            assert p % t == 0
-            assert p - t < s <= p
-            assert g == p // t
-
-
 class TestTransferVolume:
     def test_hand_value(self):
         assert hwsim.transfer_volume(8, 4) == 384  # 3 * 8^3 / 4

@@ -20,6 +20,14 @@ def _conv_fixture():
                     weight=w, bias=np.array([0.5], dtype=np.float32))
 
 
+def _conv_logits(conv, x):
+    """Logits of a ModelGraph holding only `conv`, for the (N, C, H, W) batch x."""
+    net = m.ModelGraph(layers=[conv], input_shape=x.shape[1:], class_count=0)
+    net.class_count = int(np.prod(m.infer_shapes(net)[-1]))
+    logits, _ = m.forward(net, x)
+    return logits
+
+
 X_3X3 = np.arange(1, 10, dtype=np.float32).reshape(1, 3, 3)
 X_4X4 = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4)
 
@@ -27,16 +35,16 @@ X_4X4 = np.arange(1, 17, dtype=np.float32).reshape(1, 4, 4)
 class TestConvFixtures:
     def test_hand_computed_stride1(self):
         # each output: 2*topleft - bottomright + 0.5
-        out = m.conv_via_matmul(X_3X3, _conv_fixture())
+        out = _conv_logits(_conv_fixture(), X_3X3[None])
         expected = np.array([[[-2.5, -1.5], [0.5, 1.5]]], dtype=np.float32)
-        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out, expected[None])
 
     def test_hand_computed_stride2_pad1(self):
         conv = _conv_fixture()
         conv.stride, conv.padding = 2, 1
-        out = m.conv_via_matmul(X_3X3, conv)
+        out = _conv_logits(conv, X_3X3[None])
         expected = np.array([[[-0.5, -2.5], [-6.5, 1.5]]], dtype=np.float32)
-        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out, expected[None])
 
     def test_two_layer_hand_computed_net(self):
         # 3x3 cross-shaped kernel on the 4x4 ramp, then ReLU
@@ -79,43 +87,49 @@ class TestConvFixtures:
 
 
 class TestIm2col:
+    """Window unfolding inside the conv forward pass."""
+
     def test_hand_enumerated_windows(self):
-        conv = m.Conv2d(1, 1, 3, 3, weight=np.ones((1, 1, 3, 3), dtype=np.float32))
-        mat = m.im2col(X_4X4, conv)
-        assert mat.shape == (9, 4)
+        # output channel k of a one-hot kernel bank picks window element k
+        conv = m.Conv2d(1, 9, 3, 3, weight=np.eye(9, dtype=np.float32).reshape(9, 1, 3, 3))
+        out = _conv_logits(conv, X_4X4[None])
+        assert out.shape == (1, 9, 2, 2)
         windows = np.array([
             [1, 2, 3, 5, 6, 7, 9, 10, 11],
             [2, 3, 4, 6, 7, 8, 10, 11, 12],
             [5, 6, 7, 9, 10, 11, 13, 14, 15],
             [6, 7, 8, 10, 11, 12, 14, 15, 16],
         ], dtype=np.float32).T
-        np.testing.assert_array_equal(mat, windows)
+        np.testing.assert_array_equal(out.reshape(9, 4), windows)
 
     def test_1x1_kernel_is_reshape(self):
-        x = np.random.default_rng(2).standard_normal((3, 5, 4), dtype=np.float32)
-        conv = m.Conv2d(3, 2, 1, 1, weight=np.ones((2, 3, 1, 1), dtype=np.float32))
-        mat = m.im2col(x, conv)
-        np.testing.assert_array_equal(mat, x.reshape(3, 20))
+        # small integers keep the float32 products and sums exact
+        rng = np.random.default_rng(2)
+        x = rng.integers(-4, 5, size=(1, 3, 5, 4)).astype(np.float32)
+        w = rng.integers(-4, 5, size=(2, 3, 1, 1)).astype(np.float32)
+        out = _conv_logits(m.Conv2d(3, 2, 1, 1, weight=w), x)
+        np.testing.assert_array_equal(out.reshape(2, 20), w.reshape(2, 3) @ x.reshape(3, 20))
 
     def test_dimension_formula(self):
-        x = np.zeros((3, 8, 8), dtype=np.float32)
+        x = np.zeros((1, 3, 8, 8), dtype=np.float32)
         conv = m.Conv2d(3, 5, 3, 3, padding=1,
                         weight=np.zeros((5, 3, 3, 3), dtype=np.float32))
-        assert m.im2col(x, conv).shape == (27, 64)
-        assert m.kernel_matrix(conv).shape == (5, 27)
+        assert _conv_logits(conv, x).shape == (1, 5, 8, 8)
 
     def test_kernel_larger_than_input(self):
         conv = m.Conv2d(1, 1, 5, 5, weight=np.zeros((1, 1, 5, 5), dtype=np.float32))
         with pytest.raises(ShapeMismatchError):
-            m.im2col(X_3X3, conv)
+            _conv_logits(conv, X_3X3[None])
 
     def test_channel_mismatch(self):
         conv = m.Conv2d(2, 1, 2, 2, weight=np.zeros((1, 2, 2, 2), dtype=np.float32))
         with pytest.raises(ShapeMismatchError):
-            m.im2col(X_3X3, conv)
+            _conv_logits(conv, X_3X3[None])
 
 
 class TestConvViaMatmul:
+    """The forward pass's im2col GEMM against the window-walk oracle."""
+
     @pytest.mark.parametrize("case", [
         (1, 1, 3, 1, 0, 4, 4),
         (2, 3, 3, 1, 1, 6, 5),
@@ -133,14 +147,9 @@ class TestConvViaMatmul:
                         weight=q * rng.standard_normal((out_c, in_c, k, k), dtype=np.float32),
                         bias=(q * rng.standard_normal(out_c)).astype(np.float32))
         x = q * rng.standard_normal((2, in_c, h, w), dtype=np.float32)
-        got = m.conv_via_matmul(x, conv)
+        got = _conv_logits(conv, x)
         want = oracles.conv_ref(x, conv.weight, conv.bias, stride, pad)
         np.testing.assert_allclose(got, want, atol=1e-6, rtol=0)
-
-    def test_single_feature_map_shape(self):
-        conv = _conv_fixture()
-        assert m.conv_via_matmul(X_3X3, conv).shape == (1, 2, 2)
-        assert m.conv_via_matmul(X_3X3[None], conv).shape == (1, 1, 2, 2)
 
 
 class TestForward:
