@@ -35,9 +35,10 @@ from .errors import (
     DivergenceError,
     InfeasibleHardwareError,
     InfeasiblePlanError,
-    MixbitError,
     ModelFormatError,
     NumericFailureError,
+    ShapeMismatchError,
+    UnsupportedLayerError,
 )
 from .hwsim import HwConfig, HwProfile, profile_model
 from .planner import PlannerConfig, PlanResult, blend_scores, plan_pipeline
@@ -738,7 +739,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ModelFormatError as exc:
+    except (ModelFormatError, ShapeMismatchError, UnsupportedLayerError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasiblePlanError, InfeasibleHardwareError) as exc:

@@ -277,42 +277,50 @@ class ProfileRow:
     weight_elems: int
     cost: LayerCost
 
+    def to_dict(self) -> dict:
+        """The row with its cost's fields and total cycles inlined: one profile.json row."""
+        d = asdict(self)
+        d.update(d.pop("cost"), total_cycles=self.cost.total_cycles)
+        d["dims"] = list(self.cost.dims) if self.cost.dims else None
+        return d
+
+
+# profile.csv: a column subset of ProfileRow.to_dict()
+_CSV_COLUMNS = ("layer_index", "kind", "bits", "weight_elems", "tile", "compute", "transfer",
+                "write_back", "post_process", "total_cycles", "energy")
+
 
 @dataclass
 class HwProfile:
-    """Per-weighted-layer, per-bit-width cost table."""
+    """Per-weighted-layer, per-bit-width cost table, indexed by (layer_index, bits)."""
 
     config: HwConfig
     bram: BramAllocation
     candidates: tuple
     rows: list
 
+    def __post_init__(self):
+        self._costs = {(r.layer_index, r.bits): r.cost for r in self.rows}
+        if len(self._costs) != len(self.rows):
+            raise ConfigError("profile rows repeat a (layer_index, bits) pair")
+        # layer index -> weight count, in order of first appearance
+        self._elems = {r.layer_index: r.weight_elems for r in self.rows}
+
     def cost(self, layer_index: int, bits: int) -> LayerCost:
-        for row in self.rows:
-            if row.layer_index == layer_index and row.bits == bits:
-                return row.cost
-        raise KeyError(f"no profile row for layer {layer_index} at {bits} bits")
+        try:
+            return self._costs[layer_index, bits]
+        except KeyError:
+            raise KeyError(f"no profile row for layer {layer_index} at {bits} bits") from None
 
     def layer_indices(self) -> list[int]:
-        seen = []
-        for row in self.rows:
-            if row.layer_index not in seen:
-                seen.append(row.layer_index)
-        return seen
+        return list(self._elems)
 
     def weight_elems(self) -> list[int]:
-        sizes = {}
-        for row in self.rows:
-            sizes[row.layer_index] = row.weight_elems
-        return [sizes[i] for i in self.layer_indices()]
+        return list(self._elems.values())
 
     def vector(self, bits: int, field: str) -> np.ndarray:
         """Per-layer column at one bit-width; field names a LayerCost attribute."""
-        vals = []
-        for idx in self.layer_indices():
-            cost = self.cost(idx, bits)
-            vals.append(getattr(cost, field))
-        return np.asarray(vals, dtype=np.float64)
+        return np.asarray([getattr(self.cost(i, bits), field) for i in self._elems], dtype=np.float64)
 
     def to_dict(self) -> dict:
         return {
@@ -320,23 +328,7 @@ class HwProfile:
             "config": asdict(self.config),
             "bram": asdict(self.bram),
             "candidates": list(self.candidates),
-            "rows": [
-                {
-                    "layer_index": r.layer_index,
-                    "kind": r.kind,
-                    "bits": r.bits,
-                    "weight_elems": r.weight_elems,
-                    "compute": r.cost.compute,
-                    "transfer": r.cost.transfer,
-                    "write_back": r.cost.write_back,
-                    "post_process": r.cost.post_process,
-                    "total_cycles": r.cost.total_cycles,
-                    "energy": r.cost.energy,
-                    "tile": r.cost.tile,
-                    "dims": list(r.cost.dims) if r.cost.dims else None,
-                }
-                for r in self.rows
-            ],
+            "rows": [r.to_dict() for r in self.rows],
         }
 
     @classmethod
@@ -371,17 +363,10 @@ class HwProfile:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def save_csv(self, path) -> None:
-        fields = ["layer_index", "kind", "bits", "weight_elems", "tile", "compute",
-                  "transfer", "write_back", "post_process", "total_cycles", "energy"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            for r in self.rows:
-                writer.writerow([
-                    r.layer_index, r.kind, r.bits, r.weight_elems, r.cost.tile,
-                    r.cost.compute, r.cost.transfer, r.cost.write_back,
-                    r.cost.post_process, r.cost.total_cycles, repr(r.cost.energy),
-                ])
+            writer = csv.DictWriter(fh, _CSV_COLUMNS, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(r.to_dict() for r in self.rows)
 
 
 def profile_model(model: m.ModelGraph, candidates, config: HwConfig = HwConfig()) -> HwProfile:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ class Conv2d:
     bias: np.ndarray = None
 
     kind = "conv2d"
+    params = ("weight", "bias")
 
 
 @dataclass
@@ -58,11 +59,13 @@ class BatchNorm:
     eps: float = 1e-5
 
     kind = "batch_norm"
+    params = ("running_mean", "running_var", "gamma", "beta")
 
 
 @dataclass
 class ReLU:
     kind = "relu"
+    params = ()
 
 
 @dataclass
@@ -71,6 +74,7 @@ class AvgPool:
     stride: int
 
     kind = "avg_pool"
+    params = ()
 
 
 @dataclass
@@ -81,6 +85,7 @@ class Linear:
     bias: np.ndarray = None
 
     kind = "linear"
+    params = ("weight", "bias")
 
 
 @dataclass
@@ -90,9 +95,12 @@ class ResidualAdd:
     source: int
 
     kind = "residual_add"
+    params = ()
 
 
-Layer = Conv2d | BatchNorm | ReLU | AvgPool | Linear | ResidualAdd
+# Every layer kind by its manifest name. A kind's `params` are its tensor
+# fields, in blob order; its other dataclass fields form the manifest header.
+KINDS = {cls.kind: cls for cls in (Conv2d, BatchNorm, ReLU, AvgPool, Linear, ResidualAdd)}
 
 # Layers that carry a quantizable weight tensor.
 WEIGHTED = (Conv2d, Linear)
@@ -168,6 +176,8 @@ def infer_shapes(model: ModelGraph) -> list[tuple]:
         if isinstance(layer, Conv2d):
             if len(cur) != 3 or cur[0] != layer.in_channels:
                 raise ShapeMismatchError(f"layer {i}: conv expects {layer.in_channels} channels, got {cur}")
+            if min(layer.kernel_h, layer.kernel_w, layer.stride) < 1 or layer.padding < 0:
+                raise ShapeMismatchError(f"layer {i}: kernel and stride must be positive, padding non-negative")
             oh, ow = _conv_out_hw(cur[1], cur[2], layer)
             cur = (layer.out_channels, oh, ow)
         elif isinstance(layer, BatchNorm):
@@ -503,47 +513,11 @@ def input_gradient(model: ModelGraph, batch: np.ndarray, target_stats: dict | No
 
 
 def _param_arrays(layer) -> list[tuple[str, np.ndarray]]:
-    if isinstance(layer, Conv2d) or isinstance(layer, Linear):
-        out = [("weight", layer.weight)]
-        if layer.bias is not None:
-            out.append(("bias", layer.bias))
-        return out
-    if isinstance(layer, BatchNorm):
-        return [
-            ("running_mean", layer.running_mean),
-            ("running_var", layer.running_var),
-            ("gamma", layer.gamma),
-            ("beta", layer.beta),
-        ]
-    return []
+    return [(name, getattr(layer, name)) for name in layer.params if getattr(layer, name) is not None]
 
 
-def _layer_header(layer) -> dict:
-    if isinstance(layer, Conv2d):
-        return {
-            "kind": layer.kind,
-            "in_channels": layer.in_channels,
-            "out_channels": layer.out_channels,
-            "kernel_h": layer.kernel_h,
-            "kernel_w": layer.kernel_w,
-            "stride": layer.stride,
-            "padding": layer.padding,
-        }
-    if isinstance(layer, BatchNorm):
-        return {"kind": layer.kind, "channels": layer.channels, "eps": layer.eps}
-    if isinstance(layer, ReLU):
-        return {"kind": layer.kind}
-    if isinstance(layer, AvgPool):
-        return {"kind": layer.kind, "window": layer.window, "stride": layer.stride}
-    if isinstance(layer, Linear):
-        return {
-            "kind": layer.kind,
-            "in_features": layer.in_features,
-            "out_features": layer.out_features,
-        }
-    if isinstance(layer, ResidualAdd):
-        return {"kind": layer.kind, "source": layer.source}
-    raise UnsupportedLayerError(f"cannot serialize {type(layer).__name__}")
+def _header_fields(cls) -> list:
+    return [f for f in fields(cls) if f.name not in cls.params]
 
 
 def blob_path_for(manifest_path) -> Path:
@@ -558,7 +532,7 @@ def save_model(model: ModelGraph, path) -> Path:
     offset = 0
     layers = []
     for layer in model.layers:
-        entry = _layer_header(layer)
+        entry = {"kind": layer.kind, **{f.name: getattr(layer, f.name) for f in _header_fields(type(layer))}}
         params = []
         for name, arr in _param_arrays(layer):
             a = np.ascontiguousarray(arr, dtype=np.float32)
@@ -581,54 +555,47 @@ def save_model(model: ModelGraph, path) -> Path:
     return path
 
 
-def _build_layer(entry: dict, values: dict):
-    kind = entry.get("kind")
-    if kind == "conv2d":
-        return Conv2d(
-            in_channels=entry["in_channels"],
-            out_channels=entry["out_channels"],
-            kernel_h=entry["kernel_h"],
-            kernel_w=entry["kernel_w"],
-            stride=entry["stride"],
-            padding=entry["padding"],
-            weight=values["weight"],
-            bias=values.get("bias"),
-        )
-    if kind == "batch_norm":
-        return BatchNorm(
-            channels=entry["channels"],
-            running_mean=values["running_mean"],
-            running_var=values["running_var"],
-            gamma=values["gamma"],
-            beta=values["beta"],
-            eps=entry["eps"],
-        )
-    if kind == "relu":
-        return ReLU()
-    if kind == "avg_pool":
-        return AvgPool(window=entry["window"], stride=entry["stride"])
-    if kind == "linear":
-        return Linear(
-            in_features=entry["in_features"],
-            out_features=entry["out_features"],
-            weight=values["weight"],
-            bias=values.get("bias"),
-        )
-    if kind == "residual_add":
-        return ResidualAdd(source=entry["source"])
-    raise UnsupportedLayerError(f"unknown layer kind {kind!r}")
+# JSON types a header value may have, by field annotation; integers widen to float
+_HEADER_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+
+
+def _natural(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _checked_header(cls, header: dict, where: str) -> dict:
+    """header with exactly cls's non-param fields as keys, each value of its field's JSON type."""
+    out = {}
+    for f in _header_fields(cls):
+        if f.name not in header:
+            raise ModelFormatError(f"{where}: missing key {f.name!r}")
+        value = header.pop(f.name)
+        accepted, noun = _HEADER_TYPES[f.type]
+        if type(value) not in accepted:
+            raise ModelFormatError(f"{where}: {f.name} must be {noun}, got {json.dumps(value)}")
+        out[f.name] = float(value) if f.type == "float" else value
+    if header:
+        raise ModelFormatError(f"{where}: unknown key {next(iter(header))!r}")
+    return out
 
 
 def load_model(path) -> ModelGraph:
-    """Load a manifest + blob pair written by save_model."""
+    """Load a manifest + blob pair written by save_model.
+
+    Each layer is KINDS[kind](**header, **params). Header keys must be
+    exactly the kind's non-param fields, each of its field's JSON type
+    (integer fields reject bools, floats and strings); params must be the
+    kind's own and lie inside the blob. Violations raise ModelFormatError
+    naming the layer and the key, and the loaded graph is then validated.
+    """
     path = Path(path)
     try:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read model manifest {path}: {exc}") from exc
-    if manifest.get("format") != MODEL_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} manifest")
-    blob_file = path.parent / manifest.get("blob", "")
+    blob_file = path.parent / str(manifest.get("blob", ""))
     try:
         raw = blob_file.read_bytes()
     except OSError as exc:
@@ -636,19 +603,31 @@ def load_model(path) -> ModelGraph:
     flat = np.frombuffer(raw, dtype="<f4")
     layers = []
     try:
-        for entry in manifest["layers"]:
+        for i, entry in enumerate(manifest["layers"]):
+            if not isinstance(entry, dict):
+                raise ModelFormatError(f"layer {i} in {path} is not a JSON object")
+            header = dict(entry)
+            kind = header.pop("kind", None)
+            cls = KINDS.get(kind)
+            if cls is None:
+                raise UnsupportedLayerError(f"layer {i}: unknown layer kind {kind!r}")
+            where = f"layer {i} ({kind}) in {path}"
             values = {}
-            for p in entry.get("params", []):
-                lo, n = p["offset"], p["count"]
-                if lo + n > flat.size or int(math.prod(p["shape"])) != n:
-                    raise ModelFormatError(f"weight blob too short for {p['name']} in {path}")
-                values[p["name"]] = flat[lo:lo + n].reshape(p["shape"]).astype(np.float32)
-            layers.append(_build_layer(entry, values))
-        model = ModelGraph(
-            layers=layers,
-            input_shape=tuple(manifest["input_shape"]),
-            class_count=int(manifest["class_count"]),
-        )
+            for p in header.pop("params", []):
+                name, shape, lo, n = p["name"], p["shape"], p["offset"], p["count"]
+                if name not in cls.params:
+                    raise ModelFormatError(f"{where}: unknown param {name!r}")
+                if not (_natural(lo) and _natural(n) and isinstance(shape, list)
+                        and all(map(_natural, shape)) and math.prod(shape) == n):
+                    raise ModelFormatError(f"{where}: param {name!r} has an inconsistent shape, offset or count")
+                if lo + n > flat.size:
+                    raise ModelFormatError(f"weight blob too short for {name} in {path}")
+                values[name] = flat[lo:lo + n].reshape(shape).astype(np.float32)
+            layers.append(cls(**_checked_header(cls, header, where), **values))
+        input_shape = tuple(manifest["input_shape"])
+        if not all(map(_natural, input_shape)) or not _natural(manifest["class_count"]):
+            raise ModelFormatError(f"{path}: input_shape and class_count must be non-negative integers")
+        model = ModelGraph(layers=layers, input_shape=input_shape, class_count=manifest["class_count"])
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed model manifest {path}: {exc}") from exc
     validate_model(model)

@@ -9,7 +9,6 @@ ties prefer upgrading lower layer indices.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +57,13 @@ def _layer_bytes(bits_list) -> list[int]:
 
 @dataclass
 class PlanResult:
-    """Chosen per-layer weight bits plus solver accounting.
-
-    wall_time_s stays out of to_dict() so that plan.json is byte-identical
-    across reruns; it is None for a result read back with from_dict().
-    """
+    """Chosen per-layer weight bits plus solver accounting."""
 
     weight_bits: list
     objective: float
     achieved_size_bits: int
     limit_bits: int
     solver_cells: int
-    wall_time_s: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -79,16 +73,6 @@ class PlanResult:
             "limit_bits": int(self.limit_bits),
             "solver_cells": int(self.solver_cells),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlanResult":
-        return cls(
-            weight_bits=[int(b) for b in d["weight_bits"]],
-            objective=float(d["objective"]),
-            achieved_size_bits=int(d["achieved_size_bits"]),
-            limit_bits=int(d["limit_bits"]),
-            solver_cells=int(d["solver_cells"]),
-        )
 
 
 def plan_objective(scores, weight_bits) -> float:
@@ -118,7 +102,6 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
     lowest layer indices (an upgrade with zero marginal gain is taken when
     budget allows). Layers with negative scores are never upgraded.
     """
-    start = time.perf_counter()
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     if n == 0 or len(sizes4) != n or len(sizes8) != n:
@@ -141,11 +124,7 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
         dp[i] = dp[i + 1]
         w = costs[i]
         if w <= budget:
-            take = dp[i + 1, :budget + 1 - w] + gains[i] if w else dp[i + 1] + gains[i]
-            if w:
-                dp[i, w:] = np.maximum(dp[i + 1, w:], take)
-            else:
-                dp[i] = np.maximum(dp[i + 1], take)
+            dp[i, w:] = np.maximum(dp[i + 1, w:], dp[i + 1, :budget + 1 - w] + gains[i])
 
     plan = []
     c = budget
@@ -164,7 +143,6 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
         achieved_size_bits=int(achieved),
         limit_bits=int(limit_bits),
         solver_cells=int((n + 1) * (budget + 1)),
-        wall_time_s=time.perf_counter() - start,
     )
 
 

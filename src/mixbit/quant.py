@@ -25,19 +25,6 @@ PASSTHROUGH_BITS = 32
 BIT_CHOICES = (4, 8, PASSTHROUGH_BITS)
 
 
-class _Counters:
-    """Test instrumentation; counts are process-wide and not synchronized."""
-
-    def __init__(self):
-        self.quantize_model_calls = 0
-
-    def reset(self):
-        self.quantize_model_calls = 0
-
-
-COUNTERS = _Counters()
-
-
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest with halves away from zero (numpy rounds halves to even)."""
     x = np.asarray(x)
@@ -234,7 +221,6 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
             aparams.append(None)
         else:
             aparams.append(calibrate_minmax(trace.activations[idx], ab, symmetric=False))
-    COUNTERS.quantize_model_calls += 1
     return QuantizedModel(model, bit_config, wparams, aparams, codes)
 
 
@@ -307,14 +293,9 @@ def weight_bit_sizes(model: m.ModelGraph, bits) -> list[int]:
 
 
 def fixed_param_bits(model: m.ModelGraph) -> int:
-    """Bits of parameters that never quantize: biases and all BatchNorm vectors."""
-    count = 0
-    for layer in model.layers:
-        if isinstance(layer, m.WEIGHTED) and layer.bias is not None:
-            count += int(layer.bias.size)
-        elif isinstance(layer, m.BatchNorm):
-            count += 4 * layer.channels
-    return 32 * count
+    """Bits of parameters that never quantize: every float32 param but the weights."""
+    return 32 * sum(int(arr.size) for layer in model.layers
+                    for name, arr in m._param_arrays(layer) if name != "weight")
 
 
 def model_size(model: m.ModelGraph, bit_config: BitConfig) -> ModelSize:

@@ -20,19 +20,6 @@ from .errors import ConfigError
 KL_EPS = 1e-12
 
 
-class _Counters:
-    """Test instrumentation; counts are process-wide and not synchronized."""
-
-    def __init__(self):
-        self.mask_passes = 0
-
-    def reset(self):
-        self.mask_passes = 0
-
-
-COUNTERS = _Counters()
-
-
 @dataclass(frozen=True)
 class MaskSpec:
     """Which fraction of one layer's weight codes to zero, and how to pick them."""
@@ -66,7 +53,6 @@ def mask_weights(codes: np.ndarray, spec: MaskSpec) -> np.ndarray:
     if k:
         idx = _layer_rng(spec.seed, spec.layer_index).choice(n, size=k, replace=False)
         out.reshape(-1)[idx] = 0
-    COUNTERS.mask_passes += 1
     return out
 
 

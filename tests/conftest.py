@@ -1,16 +1,6 @@
 import numpy as np
 import pytest
 
-import mixbit.quant
-import mixbit.sensitivity
-
-
-@pytest.fixture(autouse=True)
-def _reset_counters():
-    mixbit.quant.COUNTERS.reset()
-    mixbit.sensitivity.COUNTERS.reset()
-    yield
-
 
 @pytest.fixture(autouse=True)
 def _seed_guard():

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mixbit import cli, planner, quant
+from mixbit import cli, planner, quant, zoo
 from mixbit import model as m
 
 
@@ -284,6 +284,25 @@ class TestExitCodes:
         assert cli.main(["pipeline", "--config", "bad.json"]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {key}")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]  # no stage wrote anything
+
+    @pytest.mark.parametrize("layer, edit, message", [
+        (0, lambda e: e.update(kind="conv3d"), "layer 0: unknown layer kind 'conv3d'"),
+        (0, lambda e: e.update(in_channels=4), "layer 0: conv expects 4 channels"),
+        (1, lambda e: e["params"][0].update(shape=[2, 4]),
+         "layer 1: batch norm running_mean must have shape (8,)"),
+        (0, lambda e: e.update(stride="1"), 'stride must be an integer, got "1"'),
+    ], ids=["unknown_kind", "channel_mismatch", "bn_param_shape", "string_stride"])
+    def test_malformed_model_manifest(self, tmp_path, capsys, layer, edit, message):
+        path = m.save_model(zoo.toy_cnn(0), tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        edit(doc["layers"][layer])
+        path.write_text(json.dumps(doc))
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": str(path)}))
+        rc = cli.main(["distill", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("model error: ")
+        assert message in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

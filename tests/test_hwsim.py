@@ -251,6 +251,12 @@ class TestProfile:
         for a, b in zip(back.rows, prof.rows):
             assert a.cost.energy == b.cost.energy  # float preserved exactly
 
+    def test_rejects_repeated_rows(self):
+        doc = hwsim.profile_model(zoo.tiny_cnn(0), (4, 8)).to_dict()
+        doc["rows"].append(doc["rows"][0])
+        with pytest.raises(ConfigError, match="repeat"):
+            hwsim.HwProfile.from_dict(doc)
+
     def test_rejects_foreign_document(self):
         with pytest.raises(ConfigError):
             hwsim.HwProfile.from_dict({"format": "something-else", "rows": []})

@@ -228,6 +228,13 @@ class TestValidation:
         with pytest.raises(ShapeMismatchError):
             m.validate_model(bad)
 
+    @pytest.mark.parametrize("field, value", [("stride", 0), ("kernel_h", 0), ("padding", -1)])
+    def test_conv_geometry_out_of_range(self, field, value):
+        net = zoo.toy_cnn(0)
+        setattr(net.layers[0], field, value)
+        with pytest.raises(ShapeMismatchError, match="layer 0: kernel and stride"):
+            m.validate_model(net)
+
     def test_residual_source_bounds(self):
         net = zoo.toy_cnn(0)
         res_idx = next(i for i, l in enumerate(net.layers) if isinstance(l, m.ResidualAdd))

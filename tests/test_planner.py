@@ -87,7 +87,6 @@ class TestSolveBitplan:
         assert res.achieved_size_bits == 400
         assert res.limit_bits == 400
         assert res.solver_cells == 4 * 21
-        assert res.wall_time_s >= 0.0
 
     def test_objective_matches_public_helper(self):
         scores = [0.9, 0.1, 0.5]
@@ -301,8 +300,9 @@ class TestPlanPipeline:
 class TestPlanResult:
     def test_round_trip_json_ready(self):
         res = planner.solve_bitplan([0.9, 0.1], [40, 80], [80, 160], 240)
-        back = planner.PlanResult.from_dict(json.loads(json.dumps(res.to_dict())))
-        assert back.weight_bits == res.weight_bits
-        assert back.objective == res.objective
-        assert back.achieved_size_bits == res.achieved_size_bits
-        assert back.solver_cells == res.solver_cells
+        back = json.loads(json.dumps(res.to_dict()))
+        assert back == res.to_dict()
+        assert back["weight_bits"] == res.weight_bits
+        assert back["objective"] == res.objective
+        assert back["achieved_size_bits"] == res.achieved_size_bits
+        assert back["solver_cells"] == res.solver_cells

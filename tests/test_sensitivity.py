@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,14 @@ from mixbit.errors import ConfigError
 
 def _batch(shape, n=16, seed=2):
     return np.random.default_rng(seed).standard_normal((n, *shape), dtype=np.float32)
+
+
+@contextmanager
+def _call_counts():
+    """Mocks wrapping quant.quantize_model and sensitivity.mask_weights; they count calls."""
+    with mock.patch.object(quant, "quantize_model", wraps=quant.quantize_model) as quantize_calls, \
+            mock.patch.object(sens, "mask_weights", wraps=sens.mask_weights) as mask_calls:
+        yield quantize_calls, mask_calls
 
 
 class TestMasking:
@@ -194,15 +205,15 @@ class TestMqeSensitivity:
     def test_work_counters(self):
         net = zoo.tiny_cnn(0)
         batch = _batch((2, 8, 8), n=4)
-        sens.mqe_sensitivity(net, batch, alpha=0.5)
-        assert quant.COUNTERS.quantize_model_calls == 1
-        assert sens.COUNTERS.mask_passes == 3
+        with _call_counts() as (quantize_calls, mask_calls):
+            sens.mqe_sensitivity(net, batch, alpha=0.5)
+        assert quantize_calls.call_count == 1
+        assert mask_calls.call_count == 3
 
-        quant.COUNTERS.reset()
-        sens.COUNTERS.reset()
-        sens.naive_sensitivity(net, batch, bits=4)
-        assert quant.COUNTERS.quantize_model_calls == 3
-        assert sens.COUNTERS.mask_passes == 0
+        with _call_counts() as (quantize_calls, mask_calls):
+            sens.naive_sensitivity(net, batch, bits=4)
+        assert quantize_calls.call_count == 3
+        assert mask_calls.call_count == 0
 
 
 class TestNaiveSensitivity:
