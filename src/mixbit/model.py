@@ -238,6 +238,8 @@ def validate_model(model: ModelGraph) -> None:
                     raise ShapeMismatchError(f"layer {i}: batch norm {name} must have shape ({layer.channels},)")
             if not np.all(layer.running_var > 0):
                 raise ShapeMismatchError(f"layer {i}: running_var entries must be positive")
+            if not (math.isfinite(layer.eps) and layer.eps >= 0):
+                raise ShapeMismatchError(f"layer {i}: batch norm eps must be finite and non-negative, got {layer.eps}")
     if int(np.prod(shapes[-1])) != model.class_count:
         raise ShapeMismatchError(
             f"model must end in {model.class_count} logits, final shape is {shapes[-1]}"

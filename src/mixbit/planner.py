@@ -9,6 +9,7 @@ ties prefer upgrading lower layer indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,21 +119,37 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
     costs = [b8 - b4 for b4, b8 in zip(by4, by8)]
     gains = (BIT_HIGH - BIT_LOW) * scores
 
-    # dp[i][c]: best extra gain from layers i.. with c bytes of headroom.
-    dp = np.zeros((n + 1, budget + 1), dtype=np.float64)
-    for i in range(n - 1, -1, -1):
-        dp[i] = dp[i + 1]
-        w = costs[i]
-        if w <= budget:
-            dp[i, w:] = np.maximum(dp[i + 1, w:], dp[i + 1, :budget + 1 - w] + gains[i])
+    # Every subset of costs sums to a multiple of their gcd g, so a subset
+    # fits budget bytes exactly when it fits budget // g units: solving in
+    # units fills the same cells the byte table would, with the same floats.
+    g = math.gcd(*costs) or 1
+    units = [w // g for w in costs]
+    cap = budget // g
 
+    # row[c]: best extra gain from layers i+1.. with c units of headroom,
+    # updated in place to layers i..; take[i] holds one bit per c that says
+    # whether upgrading layer i attains row[c] (>= prefers the upgrade, so
+    # ties go to the lowest index).
+    row = np.zeros(cap + 1, dtype=np.float64)
+    upgrade = np.zeros(cap + 1, dtype=bool)
+    take = np.zeros((n, (cap + 8) // 8), dtype=np.uint8)
+    for i in range(n - 1, -1, -1):
+        w = units[i]
+        if w > cap:
+            continue
+        cand = row[:cap + 1 - w] + gains[i]
+        upgrade[:w] = False
+        np.greater_equal(cand, row[w:], out=upgrade[w:])
+        take[i] = np.packbits(upgrade)
+        np.maximum(row[w:], cand, out=row[w:])
+
+    # np.packbits puts entry c in byte c // 8, most significant bit first
     plan = []
-    c = budget
+    c = cap
     for i in range(n):
-        w = costs[i]
-        if w <= c and dp[i + 1, c - w] + gains[i] >= dp[i + 1, c]:
+        if take[i, c >> 3] >> (7 - (c & 7)) & 1:
             plan.append(BIT_HIGH)
-            c -= w
+            c -= units[i]
         else:
             plan.append(BIT_LOW)
 
@@ -142,7 +159,7 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
         objective=plan_objective(scores, plan),
         achieved_size_bits=int(achieved),
         limit_bits=int(limit_bits),
-        solver_cells=int((n + 1) * (budget + 1)),
+        solver_cells=int((n + 1) * (cap + 1)),
     )
 
 

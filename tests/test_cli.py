@@ -291,7 +291,11 @@ class TestExitCodes:
         (1, lambda e: e["params"][0].update(shape=[2, 4]),
          "layer 1: batch norm running_mean must have shape (8,)"),
         (0, lambda e: e.update(stride="1"), 'stride must be an integer, got "1"'),
-    ], ids=["unknown_kind", "channel_mismatch", "bn_param_shape", "string_stride"])
+        (1, lambda e: e.update(eps=-1.0), "layer 1: batch norm eps must be finite and non-negative"),
+        (1, lambda e: e.update(eps=-100.0), "layer 1: batch norm eps must be finite and non-negative"),
+        (1, lambda e: e.update(eps=float("nan")), "layer 1: batch norm eps must be finite and non-negative"),
+    ], ids=["unknown_kind", "channel_mismatch", "bn_param_shape", "string_stride",
+            "negative_eps", "large_negative_eps", "nan_eps"])
     def test_malformed_model_manifest(self, tmp_path, capsys, layer, edit, message):
         path = m.save_model(zoo.toy_cnn(0), tmp_path / "model.json")
         doc = json.loads(path.read_text())

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,10 +76,69 @@ def _brute_force(scores, sizes4, sizes8, limit_bits):
     return best
 
 
+def _full_table_plan(scores, sizes4, sizes8, limit_bits):
+    """Reference solver: one float64 row per layer over every byte of budget.
+
+    Returns (weight_bits, objective, achieved_size_bits) or raises like
+    solve_bitplan; the planner must agree with it cell for cell.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.size
+    if n == 0 or len(sizes4) != n or len(sizes8) != n:
+        raise ConfigError("length mismatch")
+    by4 = [-(-s // 8) for s in sizes4]
+    by8 = [-(-s // 8) for s in sizes8]
+    if any(b8 < b4 for b4, b8 in zip(by4, by8)):
+        raise ConfigError("8-bit sizes must dominate")
+    budget = limit_bits // 8 - sum(by4)
+    if budget < 0:
+        raise InfeasiblePlanError("below the all-4-bit floor")
+    costs = [b8 - b4 for b4, b8 in zip(by4, by8)]
+    gains = 4.0 * scores
+    dp = np.zeros((n + 1, budget + 1), dtype=np.float64)
+    for i in range(n - 1, -1, -1):
+        dp[i] = dp[i + 1]
+        w = costs[i]
+        if w <= budget:
+            dp[i, w:] = np.maximum(dp[i + 1, w:], dp[i + 1, :budget + 1 - w] + gains[i])
+    bits = []
+    c = budget
+    for i in range(n):
+        w = costs[i]
+        if w <= c and dp[i + 1, c - w] + gains[i] >= dp[i + 1, c]:
+            bits.append(8)
+            c -= w
+        else:
+            bits.append(4)
+    achieved = sum(s8 if b == 8 else s4 for b, s4, s8 in zip(bits, sizes4, sizes8))
+    return bits, planner.plan_objective(scores, bits), achieved
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (ConfigError, InfeasiblePlanError) as exc:
+        return type(exc)
+
+
+def _resnet50_weights():
+    """Weights per weighted layer of ResNet-50: stem, bottleneck convs, fc."""
+    counts = [9408]
+    in_c = 64
+    for width, blocks in ((64, 3), (128, 4), (256, 6), (512, 3)):
+        for block in range(blocks):
+            counts += [in_c * width, width * width * 9, width * 4 * width]
+            if block == 0:
+                counts.append(in_c * 4 * width)  # projection shortcut
+            in_c = 4 * width
+    return counts + [2048 * 1000]
+
+
 class TestSolveBitplan:
     def test_worked_example(self):
         # elems 10/20/30 -> upgrade costs 5/10/15 bytes, gains 3.6/0.4/2.0;
-        # 20 bytes of headroom buys layers 0 and 2
+        # 20 bytes of headroom buys layers 0 and 2; the solver works in units
+        # of gcd(5, 10, 15) = 5 bytes, so it fills 4 rows of 20 // 5 + 1 cells
         scores = [0.9, 0.1, 0.5]
         sizes4 = [40, 80, 120]
         sizes8 = [80, 160, 240]
@@ -86,7 +147,7 @@ class TestSolveBitplan:
         assert res.objective == pytest.approx(11.6, rel=1e-12)
         assert res.achieved_size_bits == 400
         assert res.limit_bits == 400
-        assert res.solver_cells == 4 * 21
+        assert res.solver_cells == 4 * 5
 
     def test_objective_matches_public_helper(self):
         scores = [0.9, 0.1, 0.5]
@@ -140,6 +201,61 @@ class TestSolveBitplan:
             assert planner.feasible(sizes4, sizes8, res.weight_bits, limit)
             solved += 1
         assert solved >= 30  # the sweep must mostly exercise the solver
+
+    @pytest.mark.parametrize("gcd", [1, 2, 3, 8, 32])
+    def test_matches_full_table_reference(self, gcd):
+        # e elements cost e // 2 bytes to upgrade: 2 * gcd * k elements cost
+        # gcd * k, one more element (an odd count) costs the same, and a
+        # 1-element layer upgrades for free
+        rng = np.random.default_rng(100 + gcd)
+        for trial in range(60):
+            n = int(rng.integers(1, 9))
+            elems = 2 * gcd * rng.integers(1, 12, size=n) + rng.integers(0, 2, size=n)
+            elems[rng.random(n) < 0.15] = 1
+            elems[rng.integers(0, n)] = 2 * gcd + 1  # pins the gcd of the costs
+            scores = [
+                rng.integers(-8, 9, size=n) / 8.0,  # exact sums, many ties
+                rng.standard_normal(n),
+                np.zeros(n),
+                np.full(n, rng.choice([-0.5, 0.25])),
+            ][trial % 4]
+            sizes4 = [int(e) * 4 for e in elems]
+            sizes8 = [int(e) * 8 for e in elems]
+            assert math.gcd(*(int(e) // 2 for e in elems)) == gcd
+            floor = 8 * sum(-(-int(e) // 2) for e in elems)  # all 4-bit, byte-rounded
+            full = sum(sizes8)
+            for limit in (floor - 1, floor, full, floor + int(rng.integers(0, full - floor + 1))):
+                want = _outcome(_full_table_plan, scores, sizes4, sizes8, limit)
+                got = _outcome(planner.solve_bitplan, scores, sizes4, sizes8, limit)
+                if isinstance(want, type):
+                    assert got is want
+                    continue
+                assert (got.weight_bits, got.objective, got.achieved_size_bits) == want
+                units = (limit - floor) // 8 // gcd
+                assert got.solver_cells == (n + 1) * (units + 1)
+
+    @pytest.mark.parametrize("odd_layer, peak_mb", [(False, 50), (True, 300)])
+    def test_resnet50_memory(self, odd_layer, peak_mb):
+        # every ResNet-50 upgrade cost is a multiple of 32 bytes, so the
+        # solver keeps budget // 32 + 1 floats per row; one layer with an odd
+        # cost (gcd 1) makes it solve over every byte of budget
+        counts = _resnet50_weights()
+        counts[0] += 2 * odd_layer
+        n = len(counts)
+        scores = np.random.default_rng(0).standard_normal(n)
+        sizes4 = [4 * c for c in counts]
+        sizes8 = [8 * c for c in counts]
+        limit = planner.resolve_limit(planner.PlannerConfig(ratio=0.5), sizes4, sizes8)
+        tracemalloc.start()
+        try:
+            res = planner.solve_bitplan(scores, sizes4, sizes8, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_mb * 10**6
+        budget = limit // 8 - sum(sizes4) // 8
+        assert res.solver_cells == (n + 1) * (budget // (1 if odd_layer else 32) + 1)
+        assert planner.feasible(sizes4, sizes8, res.weight_bits, limit)
 
     def test_objective_monotone_in_limit(self):
         rng = np.random.default_rng(8)
