@@ -266,15 +266,36 @@ def _read_artifact(path: Path, produced_by: str, parse=None):
                           f"rerun `mixbit {produced_by}`") from exc
 
 
-def ensure_model(cfg: PipelineConfig) -> tuple[m.ModelGraph, Path]:
-    """Load the configured model, or materialize the bundled toy CNN."""
+def write_bundled_model(cfg: PipelineConfig, command: str) -> None:
+    """Unless a model is configured, put the bundled toy CNN for cfg.seed in the output directory.
+
+    distill and pipeline start a run from the model alone, so they rebuild it
+    from the seed and overwrite whatever an earlier run left. Every other
+    stage reads artifacts made from the model already there: it writes the
+    model only when it is missing, and raises ConfigError when the one there
+    is not this seed's, instead of mixing two models in one run.
+    """
     if cfg.model:
-        path = Path(cfg.model)
-        return m.load_model(path), path
+        return
+    net = zoo.toy_cnn(cfg.seed)
     path = _out(cfg) / ART_MODEL
-    if not path.exists():
-        m.save_model(zoo.toy_cnn(cfg.seed), path)
+    if command in ("distill", "pipeline") or not path.exists():
+        m.save_model(net, path)
         log.info("wrote bundled toy model to %s", path)
+        return
+    manifest, blob = m.model_files(net, path)
+    try:
+        same = path.read_text() == manifest and m.blob_path_for(path).read_bytes() == blob
+    except OSError:
+        same = False
+    if not same:
+        raise ConfigError(f"{path} is not the bundled model for seed {cfg.seed}: the earlier stages ran "
+                          f"with another --seed; give every stage the same --seed, or rerun `mixbit distill`")
+
+
+def ensure_model(cfg: PipelineConfig) -> tuple[m.ModelGraph, Path]:
+    """Load the configured model, or the bundled one write_bundled_model wrote."""
+    path = Path(cfg.model) if cfg.model else _out(cfg) / ART_MODEL
     return m.load_model(path), path
 
 
@@ -415,19 +436,21 @@ def stage_eval(cfg: PipelineConfig) -> dict:
     batch = _load_distilled(cfg)
     planned = _read_artifact(_out(cfg) / ART_PLAN, "plan", _plan_bit_config)
     profile = _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
-    xs, labels = zoo.make_eval_dataset(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed)
     count = len(m.weighted_layers(net))
 
     _, calib = m.forward(net, batch.data, record=True)  # shared by every variant's grids
 
     results = {}
-    fp_preds = None
+    fp_preds = labels = None
     for name in _EVAL_VARIANTS:
         bit_cfg = quant.BitConfig.uniform(count, _UNIFORM_BITS[name]) if name in _UNIFORM_BITS else planned
         qm = quant.quantize_model(net, bit_cfg, batch.data, calib)
-        preds = quant.quantized_forward(qm, xs).argmax(axis=1)
+        # the eval set is drawn and run one chunk at a time; only predictions are kept
+        preds, ys = zip(*((quant.quantized_forward(qm, xs).argmax(axis=1), ys)
+                          for xs, ys in zoo.eval_batches(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed)))
+        preds = np.concatenate(preds)
         if name == "fp32":
-            fp_preds = preds
+            fp_preds, labels = preds, np.concatenate(ys)
         size = quant.model_size(net, bit_cfg)
         cycles = sum(int(profile.cost(idx, b).total_cycles)
                      for idx, b in zip(profile.layer_indices(), bit_cfg.weight_bits))
@@ -734,6 +757,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
+        write_bundled_model(cfg, args.command)
         _STAGES[args.command](cfg)
         return EXIT_OK
     except ConfigError as exc:

@@ -83,7 +83,8 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
         raise UnsupportedLayerError("data-free distillation needs at least one BatchNorm layer")
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal((config.batch_size, *model.input_shape), dtype=np.float32)
-    initial, grad = m.stat_loss_and_gradient(model, x, targets)
+    # the model is validated once here; each step still checks its batch
+    initial, grad = m._stat_loss_and_gradient(model, x, targets)
     threshold = _DIVERGENCE_FACTOR * max(initial, 1e-30)
     lr = np.float32(config.learning_rate)
 
@@ -93,7 +94,7 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
         x = x - lr * grad
         if step + 1 < config.steps:
             # one pass gives this step's loss and the next step's gradient
-            cur, grad = m.stat_loss_and_gradient(model, x, targets)
+            cur, grad = m._stat_loss_and_gradient(model, x, targets)
         else:
             cur = _loss_at(model, x, targets)
         history.append(cur)

@@ -31,6 +31,13 @@ from .errors import (
 MODEL_FORMAT = "mixbit-model"
 MODEL_FORMAT_VERSION = 1
 
+# Samples per block: the conv kernels copy im2col columns for this many
+# samples at a time, and evaluation runs its dataset in chunks of this size,
+# so their working memory does not grow with the batch. The conv blocks bound
+# batches larger than the eval chunks: the 64-sample probe that freezes
+# BatchNorm statistics, and a distill.batch_size above 32.
+BLOCK = 32
+
 
 @dataclass
 class Conv2d:
@@ -267,13 +274,22 @@ def _im2col_batch(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 
 
 def _conv_forward(layer: Conv2d, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Convolution as one GEMM per sample, BLOCK samples' im2col copies at a time.
+
+    Each sample's GEMM is the same call whatever the batch size, so the
+    output does not depend on how a batch is split into blocks.
+    """
+    n = x.shape[0]
     oh, ow = _conv_out_hw(x.shape[2], x.shape[3], layer)
-    xp = _pad2d(x, layer.padding)
-    cols = _im2col_batch(xp, layer.kernel_h, layer.kernel_w, layer.stride)
-    out = np.matmul(weight.reshape(layer.out_channels, -1), cols)
-    out = out.reshape(x.shape[0], layer.out_channels, oh, ow)
+    wmat = weight.reshape(layer.out_channels, -1)
+    out = np.empty((n, layer.out_channels, oh * ow), dtype=np.result_type(wmat, x))
+    for lo in range(0, n, BLOCK):
+        cols = _im2col_batch(_pad2d(x[lo:lo + BLOCK], layer.padding), layer.kernel_h, layer.kernel_w,
+                             layer.stride)
+        np.matmul(wmat, cols, out=out[lo:lo + BLOCK])
+    out = out.reshape(n, layer.out_channels, oh, ow)
     if layer.bias is not None:
-        out = out + layer.bias[None, :, None, None]
+        out += layer.bias[None, :, None, None]
     return out
 
 
@@ -282,7 +298,10 @@ def _linear_forward(layer: Linear, x: np.ndarray, weight: np.ndarray) -> np.ndar
         x = x.reshape(x.shape[0], -1)
     if x.shape[1] != layer.in_features:
         raise ShapeMismatchError(f"linear expects {layer.in_features} features, got {x.shape[1]}")
-    out = x @ weight.T
+    # one vector-matrix product per row, so a row's result does not depend on
+    # the batch it is in: x @ weight.T picks its BLAS kernel by the row count,
+    # and eval's last chunk holds eval.samples mod BLOCK rows
+    out = np.matmul(x[:, None, :], weight.T)[:, 0]
     if layer.bias is not None:
         out = out + layer.bias[None, :]
     return out
@@ -407,26 +426,27 @@ def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
 # input gradient
 
 
-def _col2im_batch(cols: np.ndarray, shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Scatter-add column gradients back onto the padded input."""
-    n, c, hp, wp = shape
+def _col2im_add(cols: np.ndarray, out: np.ndarray, kh: int, kw: int, stride: int) -> None:
+    """Scatter-add column gradients onto the padded input gradient `out`, in place."""
+    n, c, hp, wp = out.shape
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    out = np.zeros(shape, dtype=np.float32)
     cols6 = cols.reshape(n, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
             out[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += cols6[:, :, i, j]
-    return out
 
 
 def _conv_backward_input(layer: Conv2d, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Input gradient, BLOCK samples' column gradients at a time (see _conv_forward)."""
     n = x.shape[0]
     p = layer.padding
-    hp, wp = x.shape[2] + 2 * p, x.shape[3] + 2 * p
+    gpad = np.zeros((n, layer.in_channels, x.shape[2] + 2 * p, x.shape[3] + 2 * p), dtype=np.float32)
+    wmat_t = layer.weight.reshape(layer.out_channels, -1).T
     gmat = grad_out.reshape(n, layer.out_channels, -1)
-    grad_cols = np.matmul(layer.weight.reshape(layer.out_channels, -1).T, gmat)
-    gpad = _col2im_batch(grad_cols, (n, layer.in_channels, hp, wp), layer.kernel_h, layer.kernel_w, layer.stride)
+    for lo in range(0, n, BLOCK):
+        _col2im_add(np.matmul(wmat_t, gmat[lo:lo + BLOCK]), gpad[lo:lo + BLOCK],
+                    layer.kernel_h, layer.kernel_w, layer.stride)
     if p == 0:
         return gpad
     return gpad[:, :, p:-p, p:-p]
@@ -472,12 +492,25 @@ def stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
     residual branches.
     """
     validate_model(model)
-    batch = _check_batch(model, batch)
     targets = bn_targets(model) if target_stats is None else target_stats
     if not targets:
         raise UnsupportedLayerError("input gradients need at least one BatchNorm layer")
+    return _stat_loss_and_gradient(model, batch, targets)
+
+
+def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
+                            targets: dict) -> tuple[float, np.ndarray]:
+    """stat_loss_and_gradient for a validated model and non-empty targets; the batch is still checked."""
+    batch = _check_batch(model, batch)
     acts = run_layers(model, batch)
-    grads = [np.zeros_like(a) for a in acts]
+    # grads[i] is the loss gradient at acts[i], None until a term reaches it,
+    # so layers past the last BatchNorm are skipped and no zero tensors are
+    # allocated; a first term is stored as is, which equals 0 + term except
+    # that a -0.0 entry keeps its sign
+    grads = [None] * len(acts)
+
+    def add(i, g):
+        grads[i] = g if grads[i] is None else grads[i] + g
 
     # direct statistic terms at each BN input
     loss = 0.0
@@ -490,16 +523,18 @@ def stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
         dm = 2.0 * du / nhw
         ds = 2.0 * dsig / (nhw * np.maximum(s, 1e-12))
         term = dm[None, :, None, None] + ds[None, :, None, None] * (x.astype(np.float64) - m[None, :, None, None])
-        grads[i] += term.astype(np.float32)
+        add(i, term.astype(np.float32))
 
     for i in range(len(model.layers) - 1, -1, -1):
         g = grads[i + 1]
+        if g is None:
+            continue
         layer = model.layers[i]
         if isinstance(layer, ResidualAdd):
-            grads[i] += g
-            grads[layer.source + 1] += g
+            add(i, g)
+            add(layer.source + 1, g)
         else:
-            grads[i] += _backward_input(layer, acts[i], g)
+            add(i, _backward_input(layer, acts[i], g))
     if not np.isfinite(grads[0]).all():
         raise NumericFailureError("non-finite input gradient", layer_index=None)
     return loss, grads[0]
@@ -526,8 +561,8 @@ def blob_path_for(manifest_path) -> Path:
     return Path(manifest_path).with_suffix(".bin")
 
 
-def save_model(model: ModelGraph, path) -> Path:
-    """Write the manifest JSON to `path` and float32 weights to a .bin sidecar."""
+def model_files(model: ModelGraph, path) -> tuple[str, bytes]:
+    """The manifest text and the float32 weight blob save_model writes for `model` at `path`."""
     validate_model(model)
     path = Path(path)
     blob = bytearray()
@@ -551,9 +586,16 @@ def save_model(model: ModelGraph, path) -> Path:
         "blob": blob_path_for(path).name,
         "layers": layers,
     }
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n", bytes(blob)
+
+
+def save_model(model: ModelGraph, path) -> Path:
+    """Write the manifest JSON to `path` and float32 weights to a .bin sidecar."""
+    path = Path(path)
+    manifest, blob = model_files(model, path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    blob_path_for(path).write_bytes(bytes(blob))
+    path.write_text(manifest)
+    blob_path_for(path).write_bytes(blob)
     return path
 
 

@@ -142,6 +142,31 @@ def bn_passthrough_net(
     return m.ModelGraph(layers=layers, input_shape=(channels, hw, hw), class_count=classes)
 
 
+def eval_batches(
+    model: m.ModelGraph,
+    samples: int = 256,
+    noise: float = 0.1,
+    seed: int = 1,
+):
+    """make_eval_dataset's (inputs, labels), drawn m.BLOCK samples at a time.
+
+    The chunks are generated lazily, so a caller that consumes one at a time
+    holds one chunk of inputs whatever `samples` is. Concatenated, they are
+    make_eval_dataset's arrays bit for bit: the generator yields the same
+    normals whether they are drawn in one call or in several.
+    """
+    rng = np.random.default_rng(seed)
+    anchors = rng.standard_normal((10, *model.input_shape), dtype=np.float32)
+    logits, _ = m.forward(model, anchors)
+    anchor_labels = logits.argmax(axis=1)
+    for lo in range(0, samples, m.BLOCK):
+        ks = np.arange(lo, min(lo + m.BLOCK, samples)) % 10
+        xs = anchors[ks] + np.float32(noise) * rng.standard_normal(
+            (ks.size, *model.input_shape), dtype=np.float32
+        )
+        yield xs, anchor_labels[ks].astype(np.int64)
+
+
 def make_eval_dataset(
     model: m.ModelGraph,
     samples: int = 256,
@@ -155,12 +180,5 @@ def make_eval_dataset(
     the clean anchor. The float model therefore scores high but not perfect
     accuracy, and heavier quantization shows up as lost accuracy.
     """
-    rng = np.random.default_rng(seed)
-    anchors = rng.standard_normal((10, *model.input_shape), dtype=np.float32)
-    logits, _ = m.forward(model, anchors)
-    anchor_labels = logits.argmax(axis=1)
-    ks = np.arange(samples) % 10
-    xs = anchors[ks] + np.float32(noise) * rng.standard_normal(
-        (samples, *model.input_shape), dtype=np.float32
-    )
-    return xs, anchor_labels[ks].astype(np.int64)
+    xs, labels = zip(*eval_batches(model, samples, noise, seed))
+    return np.concatenate(xs), np.concatenate(labels)

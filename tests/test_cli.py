@@ -168,6 +168,32 @@ class TestDeterminism:
             hashes.append(json.loads((out / cli.ART_REPORT_JSON).read_text())["meta"]["canonical_sha256"])
         assert hashes[0] == hashes[1]
 
+    def test_bundled_model_follows_seed(self, tmp_path):
+        # a directory that holds a seed-0 run must not lend its model to a seed-1 run
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 4}}))
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for seed, out in (("0", reused), ("1", reused), ("1", fresh)):
+            assert cli.main(["distill", "--config", str(config), "--seed", seed, "--out", str(out)]) == cli.EXIT_OK
+        for name in (cli.ART_MODEL, "model.bin", "distilled.bin"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        m.save_model(zoo.toy_cnn(1), tmp_path / "seed1" / cli.ART_MODEL)
+        assert (reused / "model.bin").read_bytes() == (tmp_path / "seed1" / "model.bin").read_bytes()
+
+    def test_later_stage_with_another_seed_exits_2(self, tmp_path, capsys):
+        # sense must not score the seed-0 model on a batch distilled from the seed-5 one
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 4}}))
+        out = tmp_path / "out"
+        assert cli.main(["distill", "--config", str(config), "--seed", "5", "--out", str(out)]) == cli.EXIT_OK
+        blob = (out / "model.bin").read_bytes()
+        assert cli.main(["sense", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed 0" in err and "--seed" in err
+        assert (out / "model.bin").read_bytes() == blob
+        assert not (out / cli.ART_SENSITIVITY).exists()
+        assert cli.main(["sense", "--config", str(config), "--seed", "5", "--out", str(out)]) == cli.EXIT_OK
+
     def test_plan_artifact_identical_across_runs(self, light_config, tmp_path):
         plans = []
         for name in ("a", "b"):

@@ -66,6 +66,35 @@ def test_fused_loss_matches_recorded_forward():
     assert _same_bits(grad, m.input_gradient(net, x))
 
 
+def _zero_initialized_gradient(net, x):
+    """The input gradient accumulated into a zero tensor per activation, every layer run backward."""
+    acts = m.run_layers(net, x)
+    grads = [np.zeros_like(a) for a in acts]
+    for i, (u, sig) in m.bn_targets(net).items():
+        mean, std = m._channel_stats(acts[i])
+        nhw = acts[i].shape[0] * acts[i].shape[2] * acts[i].shape[3]
+        dm = 2.0 * (mean - u) / nhw
+        ds = 2.0 * (std - sig) / (nhw * np.maximum(std, 1e-12))
+        centered = acts[i].astype(np.float64) - mean[None, :, None, None]
+        grads[i] += (dm[None, :, None, None] + ds[None, :, None, None] * centered).astype(np.float32)
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if isinstance(layer, m.ResidualAdd):
+            grads[i] += grads[i + 1]
+            grads[layer.source + 1] += grads[i + 1]
+        else:
+            grads[i] += m._backward_input(layer, acts[i], grads[i + 1])
+    return grads[0]
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_gradient_matches_zero_initialized_reference(name):
+    # the package skips layers past the last BatchNorm and allocates no zero tensors
+    net = NETS[name](0)
+    x = _batch(net, 6, 8)
+    assert _same_bits(m.input_gradient(net, x), _zero_initialized_gradient(net, x))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_fires_at_the_reference_step():
     net = zoo.tiny_cnn(0)
