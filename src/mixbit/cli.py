@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import dataclasses
 import datetime
 import hashlib
@@ -398,17 +399,11 @@ def stage_quantize(cfg: PipelineConfig) -> dict:
             entry["weight"] = None
         else:
             codes = qm.weight_codes[pos].astype("<i1")
-            entry["weight"] = {
-                "scale": wp.scale, "zero_point": wp.zero_point, "bits": wp.bits,
-                "symmetric": wp.symmetric, "offset": offset, "count": int(codes.size),
-                "shape": list(codes.shape),
-            }
+            entry["weight"] = {**dataclasses.asdict(wp), "offset": offset, "count": codes.size,
+                               "shape": list(codes.shape)}
             blob += codes.tobytes()
-            offset += int(codes.size)
-        entry["activation"] = None if ap is None else {
-            "scale": ap.scale, "zero_point": ap.zero_point, "bits": ap.bits,
-            "symmetric": ap.symmetric,
-        }
+            offset += codes.size
+        entry["activation"] = None if ap is None else dataclasses.asdict(ap)
         layers_doc.append(entry)
 
     size = quant.model_size(net, bit_cfg)
@@ -594,7 +589,7 @@ def assemble_report(cfg: PipelineConfig) -> dict:
     except ValueError:
         pass
     sense_doc = _read_artifact(out / ART_SENSITIVITY, "sense")
-    profile = HwProfile.from_dict(_read_artifact(out / ART_PROFILE_JSON, "profile"))
+    profile = _read_artifact(out / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
     plan_doc = _read_artifact(out / ART_PLAN, "plan")
     quant_doc = _read_artifact(out / ART_QUANTIZED, "quantize")
     eval_doc = _read_artifact(out / ART_EVAL, "eval")
@@ -645,21 +640,9 @@ def assemble_report(cfg: PipelineConfig) -> dict:
         },
         "bram": dataclasses.asdict(profile.bram),
         "layers": layer_rows,
-        "plan": {
-            "weight_bits": [int(b) for b in plan_doc["weight_bits"]],
-            "activation_bits": quant_doc["activation_bits"],
-            "objective": float(plan_doc["objective"]),
-            "achieved_size_bits": int(plan_doc["achieved_size_bits"]),
-            "limit_bits": int(plan_doc["limit_bits"]),
-            "solver_cells": int(plan_doc["solver_cells"]),
-        },
-        "sizes": {
-            "weight_bits_total": int(quant_doc["size"]["weight_bits_total"]),
-            "fixed_bits": int(quant_doc["size"]["fixed_bits"]),
-            "total_bits": int(quant_doc["size"]["total_bits"]),
-            "megabytes": float(quant_doc["size"]["megabytes"]),
-            "limit_bits": int(plan_doc["limit_bits"]),
-        },
+        "plan": {**{f.name: plan_doc[f.name] for f in dataclasses.fields(PlanResult)},
+                 "activation_bits": quant_doc["activation_bits"]},
+        "sizes": {**quant_doc["size"], "limit_bits": plan_doc["limit_bits"]},
         "eval": eval_doc,
     }
     report["meta"]["canonical_sha256"] = canonical_hash(report)
@@ -692,10 +675,8 @@ def stage_pipeline(cfg: PipelineConfig) -> dict:
     report = assemble_report(cfg)
     out = _out(cfg)
     _write_json(out / ART_REPORT_JSON, report)
-    import csv as _csv
-
     with open(out / ART_REPORT_CSV, "w", newline="") as fh:
-        _csv.writer(fh).writerows(_report_csv_rows(report))
+        csv.writer(fh).writerows(_report_csv_rows(report))
     print(f"plan: {report['plan']['weight_bits']}  "
           f"size: {report['sizes']['weight_bits_total']}/{report['sizes']['limit_bits']} weight bits")
     for name, r in report["eval"]["variants"].items():

@@ -6,7 +6,7 @@ with a single output column. On-chip buffer capacity fixes the largest tile
 side; each matrix side is then snapped to a power-of-2 tile length, and the
 per-layer cost splits into four pipeline steps: compute on a multiply-add
 tree, input transfer, result write-back, and elementwise post-processing
-(batch norm, activation, requantization).4-bit operands pack two per 8-bit
+(batch norm, activation, requantization). 4-bit operands pack two per 8-bit
 lane slot, so narrow layers see twice the effective lane count.
 
 Units: cycles for time, bytes for traffic, dimensionless energy units for
@@ -37,8 +37,6 @@ class HwConfig:
     """Accelerator parameters. Defaults describe a small 140-block device."""
 
     bram_total: int = 140            # on-chip memory blocks available
-    bram_block_bits: int = 36864     # bits per block
-    word_bits: int = 64              # external bus word width
     lanes: int = 128                 # multiply lanes feeding one adder tree
     transfer_bandwidth: int = 8      # bytes moved per cycle
     mac_init_latency: int = 4        # cycles to prime the tree pipeline
@@ -50,8 +48,7 @@ class HwConfig:
     coe_o: int = 2                   # blocks per unit tile side: outputs
 
     def __post_init__(self):
-        for name in ("bram_total", "bram_block_bits", "word_bits", "lanes",
-                     "transfer_bandwidth", "mac_init_latency",
+        for name in ("bram_total", "lanes", "transfer_bandwidth", "mac_init_latency",
                      "post_process_cycles_per_element", "coe_w", "coe_f", "coe_o"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
@@ -204,7 +201,7 @@ class LayerCost:
     post_process: int
     energy: float
     tile: int
-    dims: tuple  # (rows, inner, cols) of the costed matmul, or None
+    dims: tuple  # (rows, inner, cols) of the costed matmul
 
     @property
     def total_cycles(self) -> int:
@@ -226,37 +223,28 @@ def _matmul_dims(layer, in_shape: tuple) -> tuple:
 
 def layer_cost(layer, in_shape: tuple, out_shape: tuple, weight_bits: int, act_bits: int,
                config: HwConfig, l_max: int | None = None) -> LayerCost:
-    """Cost one layer at the given weight/activation bit-widths.
+    """Cost one weighted (conv or linear) layer at the given weight/activation bit-widths.
 
-    Weighted layers run the tiled matmul model; BatchNorm, ReLU, pooling and
-    residual adds cost post-processing only. The tile side comes from the
-    smallest edge of the unfolded matrices, snapped by the tile-side rule
-    within [min_tile_side(l_max), l_max] where l_max defaults to the
-    buffer-sizing result for `config`.
+    The layer runs as a tiled matmul whose tile side comes from the smallest
+    edge of the unfolded matrices, snapped by the tile-side rule within
+    [min_tile_side(l_max), l_max] where l_max defaults to the buffer-sizing
+    result for `config`. Transfer and write-back move the elements that
+    blocked_transfer_elements counts, one third per operand stream: weight
+    and feature tiles in, result tiles out. post_process covers the layer's
+    BatchNorm, activation and requantization, one pass per output element.
+    Any other layer raises UnsupportedLayerError.
     """
-    post = int(np.prod(out_shape)) * config.post_process_cycles_per_element
-    if not isinstance(layer, m.WEIGHTED):
-        cycles = post
-        energy = config.static_power * cycles
-        return LayerCost(compute=0, transfer=0, write_back=0, post_process=post,
-                         energy=energy, tile=0, dims=None)
-
+    rows, inner, cols = _matmul_dims(layer, in_shape)
     if l_max is None:
         l_max = bram_allocate(config).l_max
-    l_min = min_tile_side(l_max)
-    rows, inner, cols = _matmul_dims(layer, in_shape)
-    tile = tile_side(min(rows, inner, cols), l_max, l_min)
-    grid = _ceil_div(rows, tile) * _ceil_div(inner, tile) * _ceil_div(cols, tile)
+    tile = tile_side(min(rows, inner, cols), l_max, min_tile_side(l_max))
 
     lanes = effective_lanes(config, weight_bits, act_bits)
     compute = matmul_cycles(rows, inner, cols, tile, config, lanes=lanes)
-
-    # per tile pair: one weight tile and one feature tile in, one result out
-    tsq = tile * tile
-    in_bytes = grid * (_ceil_div(tsq * weight_bits, 8) + _ceil_div(tsq * act_bits, 8))
-    out_bytes = grid * _ceil_div(tsq * act_bits, 8)
-    transfer = _ceil_div(in_bytes, config.transfer_bandwidth)
-    write_back = _ceil_div(out_bytes, config.transfer_bandwidth)
+    per_stream = blocked_transfer_elements(rows, inner, cols, tile) // 3
+    transfer = _ceil_div(per_stream * (weight_bits + act_bits), 8 * config.transfer_bandwidth)
+    write_back = _ceil_div(per_stream * act_bits, 8 * config.transfer_bandwidth)
+    post = int(np.prod(out_shape)) * config.post_process_cycles_per_element
 
     total = compute + transfer + write_back + post
     lanes_used = min(config.lanes, max(1, _ceil_div(tile * max(weight_bits, act_bits), 8)))
@@ -281,7 +269,7 @@ class ProfileRow:
         """The row with its cost's fields and total cycles inlined: one profile.json row."""
         d = asdict(self)
         d.update(d.pop("cost"), total_cycles=self.cost.total_cycles)
-        d["dims"] = list(self.cost.dims) if self.cost.dims else None
+        d["dims"] = list(self.cost.dims)
         return d
 
 
@@ -344,7 +332,7 @@ class HwProfile:
                 post_process=int(r["post_process"]),
                 energy=float(r["energy"]),
                 tile=int(r["tile"]),
-                dims=tuple(r["dims"]) if r["dims"] else None,
+                dims=tuple(r["dims"]),
             )
             rows.append(ProfileRow(int(r["layer_index"]), r["kind"], int(r["bits"]),
                                    int(r["weight_elems"]), cost))

@@ -1,9 +1,9 @@
 """Bit-width allocation as an exactly solved 0/1 knapsack.
 
 Every weighted layer starts at 4 bits; upgrading layer i to 8 bits pays its
-extra weight bytes and earns 4 * score_i, where the per-layer score blends
+extra weight bits and earns 4 * score_i, where the per-layer score blends
 normalized sensitivity against normalized cycle and energy cost. Dynamic
-programming over the byte budget maximizes sum(bits_i * score_i) exactly;
+programming over the bit budget maximizes sum(bits_i * score_i) exactly;
 ties prefer upgrading lower layer indices.
 """
 
@@ -51,11 +51,6 @@ def omega(w_hat, c_hat, e_hat, beta: float, gamma: float) -> np.ndarray:
     return beta * w_hat - (gamma / 2.0) * (c_hat + e_hat)
 
 
-def _layer_bytes(bits_list) -> list[int]:
-    # per-layer size in bytes, rounded up per layer
-    return [-(-b // 8) for b in bits_list]
-
-
 @dataclass
 class PlanResult:
     """Chosen per-layer weight bits plus solver accounting."""
@@ -85,12 +80,9 @@ def plan_objective(scores, weight_bits) -> float:
 
 
 def feasible(sizes4, sizes8, weight_bits, limit_bits: int) -> bool:
-    """Size feasibility in the solver's units: per-layer byte round-up."""
-    used = sum(
-        by8 if b == BIT_HIGH else by4
-        for b, by4, by8 in zip(weight_bits, _layer_bytes(sizes4), _layer_bytes(sizes8))
-    )
-    return used <= limit_bits // 8
+    """Whether the plan's weight bits, summed over layers, stay within limit_bits."""
+    used = sum(s8 if b == BIT_HIGH else s4 for b, s4, s8 in zip(weight_bits, sizes4, sizes8))
+    return used <= limit_bits
 
 
 def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
@@ -98,7 +90,7 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
 
     scores are the blended per-layer values; sizes4/sizes8 the per-layer
     weight sizes in bits at each candidate. The solver maximizes
-    sum(bits_i * score_i) subject to the byte-rounded size staying within
+    sum(bits_i * score_i) subject to the summed weight bits staying within
     limit_bits. Among equal-objective plans it returns the one upgrading the
     lowest layer indices (an upgrade with zero marginal gain is taken when
     budget allows). Layers with negative scores are never upgraded.
@@ -107,21 +99,19 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
     n = scores.size
     if n == 0 or len(sizes4) != n or len(sizes8) != n:
         raise ConfigError("scores, sizes4, and sizes8 must be equal-length and non-empty")
-    by4 = _layer_bytes(sizes4)
-    by8 = _layer_bytes(sizes8)
-    if any(b8 < b4 for b4, b8 in zip(by4, by8)):
+    costs = [s8 - s4 for s4, s8 in zip(sizes4, sizes8)]
+    if min(costs) < 0:
         raise ConfigError("8-bit sizes must dominate 4-bit sizes")
-    budget = limit_bits // 8 - sum(by4)
+    budget = limit_bits - sum(sizes4)
     if budget < 0:
         raise InfeasiblePlanError(
-            f"size limit {limit_bits} bits is below the all-4-bit floor of {sum(s for s in sizes4)} bits"
+            f"size limit {limit_bits} bits is below the all-4-bit floor of {sum(sizes4)} bits"
         )
-    costs = [b8 - b4 for b4, b8 in zip(by4, by8)]
     gains = (BIT_HIGH - BIT_LOW) * scores
 
     # Every subset of costs sums to a multiple of their gcd g, so a subset
-    # fits budget bytes exactly when it fits budget // g units: solving in
-    # units fills the same cells the byte table would, with the same floats.
+    # fits budget bits exactly when it fits budget // g units: solving in
+    # units fills the same cells the bit table would, with the same floats.
     g = math.gcd(*costs) or 1
     units = [w // g for w in costs]
     cap = budget // g

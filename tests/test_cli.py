@@ -216,6 +216,28 @@ class TestStageFlags:
         assert rc == cli.EXIT_OK
         assert json.loads((out / cli.ART_PLAN).read_text())["weight_bits"] == [8] * 5
 
+    def test_ratio_zero_with_odd_weight_counts(self, tmp_path):
+        # 27 conv and 15 linear weights: the all-4-bit floor is 168 bits
+        rng = np.random.default_rng(0)
+        net = m.ModelGraph(layers=[
+            m.Conv2d(1, 3, 3, 3, padding=1, weight=rng.standard_normal((3, 1, 3, 3), dtype=np.float32),
+                     bias=np.zeros(3, dtype=np.float32)),
+            m.BatchNorm(3, running_mean=np.zeros(3, dtype=np.float32), running_var=np.ones(3, dtype=np.float32),
+                        gamma=np.ones(3, dtype=np.float32), beta=np.zeros(3, dtype=np.float32)),
+            m.ReLU(),
+            m.AvgPool(4, 4),
+            m.Linear(3, 5, weight=rng.standard_normal((5, 3), dtype=np.float32),
+                     bias=np.zeros(5, dtype=np.float32)),
+        ], input_shape=(1, 4, 4), class_count=5)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": str(m.save_model(net, tmp_path / "odd.json")),
+                                      "distill": {"steps": 5}}))
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out), "--ratio", "0"])
+        assert rc == cli.EXIT_OK
+        plan = json.loads((out / cli.ART_PLAN).read_text())
+        assert (plan["weight_bits"], plan["achieved_size_bits"], plan["limit_bits"]) == ([4, 4], 168, 168)
+
     def test_method_override(self, light_config, pipeline_run):
         out, _ = pipeline_run
         rc = cli.main(["sense", "--config", light_config, "--out", str(out),
@@ -303,6 +325,8 @@ class TestExitCodes:
         ('{"distill": {"steps": 2.9}}', "distill.steps"),
         ('{"planner": {"beta": "0.5"}}', "planner.beta"),
         ('{"output_dir": null}', "output_dir"),
+        ('{"hardware": {"word_bits": 64}}', "hardware.word_bits"),
+        ('{"hardware": {"bram_block_bits": 36864}}', "hardware.bram_block_bits"),
     ])
     def test_bad_config_exits_before_any_stage(self, tmp_path, monkeypatch, capsys, text, key):
         monkeypatch.chdir(tmp_path)
@@ -340,6 +364,21 @@ class TestExitCodes:
         rc = cli.main(["sense", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
         assert "sensitivity.alfa" in capsys.readouterr().err
+
+    def test_profile_with_removed_hardware_keys_exits_2(self, tmp_path, capsys):
+        # bram_block_bits and word_bits priced nothing and are no HwConfig fields any more
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 4}}))
+        out = tmp_path / "out"
+        for stage in ("distill", "sense", "profile"):
+            assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / cli.ART_PROFILE_JSON).read_text())
+        doc["config"].update(bram_block_bits=36864, word_bits=64)
+        (out / cli.ART_PROFILE_JSON).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["plan", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "profile.json" in err and "rerun `mixbit profile`" in err
 
     def test_unreadable_config(self, tmp_path, capsys):
         rc = cli.main(["plan", "--config", str(tmp_path / "nope.json")])

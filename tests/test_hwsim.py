@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,16 +206,31 @@ class TestLayerCost:
         # grid ceil(10/8) * ceil(64/8) * 1 = 16
         assert cost.compute == 16 * (64 + 3 + 4)
 
-    def test_unweighted_layers_cost_post_processing_only(self):
-        cost = hwsim.layer_cost(m.ReLU(), (8, 8, 8), (8, 8, 8), 8, 8, hwsim.HwConfig())
-        assert (cost.compute, cost.transfer, cost.write_back) == (0, 0, 0)
-        assert cost.post_process == 512
-        assert cost.total_cycles == 512
-        assert cost.energy == pytest.approx(512.0)
-        assert cost.tile == 0 and cost.dims is None
+    def test_unweighted_layer_raises(self):
+        # a weighted layer's post_process already covers its BatchNorm and ReLU
+        with pytest.raises(UnsupportedLayerError):
+            hwsim.layer_cost(m.ReLU(), (8, 8, 8), (8, 8, 8), 8, 8, hwsim.HwConfig())
+
+    def test_transfer_priced_by_blocked_formula(self):
+        spy = mock.patch.object(hwsim, "blocked_transfer_elements", wraps=hwsim.blocked_transfer_elements)
+        with spy as blocked:
+            prof = hwsim.profile_model(zoo.toy_cnn(0), (4, 8, 32))
+        assert blocked.call_count == len(prof.rows)
 
 
 class TestProfile:
+    def test_every_config_field_changes_the_profile(self):
+        # a knob the cost model does not read would leave rows and bram alike
+        changed = {"bram_total": 70, "lanes": 8, "transfer_bandwidth": 4, "mac_init_latency": 2,
+                   "post_process_cycles_per_element": 2, "static_power": 0.5,
+                   "active_power_per_lane": 0.1, "coe_w": 2, "coe_f": 2, "coe_o": 1}
+        assert set(changed) == {f.name for f in dataclasses.fields(hwsim.HwConfig)}
+        net = zoo.toy_cnn(0)
+        base = hwsim.profile_model(net, (4, 8, 32), hwsim.HwConfig())
+        for name, value in changed.items():
+            prof = hwsim.profile_model(net, (4, 8, 32), hwsim.HwConfig(**{name: value}))
+            assert (prof.rows, prof.bram) != (base.rows, base.bram), name
+
     def test_row_count_and_layers(self):
         net = zoo.toy_cnn(0)
         prof = hwsim.profile_model(net, (4, 8, 32))

@@ -60,14 +60,11 @@ class TestOmega:
 def _brute_force(scores, sizes4, sizes8, limit_bits):
     """Enumerate every plan; ties prefer upgrading lower layer indices."""
     n = len(scores)
-    by4 = [-(-s // 8) for s in sizes4]
-    by8 = [-(-s // 8) for s in sizes8]
-    cap = limit_bits // 8
     best = None
     for mask in range(1 << n):
         bits = [8 if (mask >> i) & 1 else 4 for i in range(n)]
-        used = sum(b8 if b == 8 else b4 for b, b4, b8 in zip(bits, by4, by8))
-        if used > cap:
+        used = sum(s8 if b == 8 else s4 for b, s4, s8 in zip(bits, sizes4, sizes8))
+        if used > limit_bits:
             continue
         key = (planner.plan_objective(scores, bits),
                tuple(1 if b == 8 else 0 for b in bits))
@@ -77,7 +74,7 @@ def _brute_force(scores, sizes4, sizes8, limit_bits):
 
 
 def _full_table_plan(scores, sizes4, sizes8, limit_bits):
-    """Reference solver: one float64 row per layer over every byte of budget.
+    """Reference solver: one float64 row per layer over every bit of budget.
 
     Returns (weight_bits, objective, achieved_size_bits) or raises like
     solve_bitplan; the planner must agree with it cell for cell.
@@ -86,14 +83,12 @@ def _full_table_plan(scores, sizes4, sizes8, limit_bits):
     n = scores.size
     if n == 0 or len(sizes4) != n or len(sizes8) != n:
         raise ConfigError("length mismatch")
-    by4 = [-(-s // 8) for s in sizes4]
-    by8 = [-(-s // 8) for s in sizes8]
-    if any(b8 < b4 for b4, b8 in zip(by4, by8)):
+    costs = [s8 - s4 for s4, s8 in zip(sizes4, sizes8)]
+    if any(w < 0 for w in costs):
         raise ConfigError("8-bit sizes must dominate")
-    budget = limit_bits // 8 - sum(by4)
+    budget = limit_bits - sum(sizes4)
     if budget < 0:
         raise InfeasiblePlanError("below the all-4-bit floor")
-    costs = [b8 - b4 for b4, b8 in zip(by4, by8)]
     gains = 4.0 * scores
     dp = np.zeros((n + 1, budget + 1), dtype=np.float64)
     for i in range(n - 1, -1, -1):
@@ -136,9 +131,9 @@ def _resnet50_weights():
 
 class TestSolveBitplan:
     def test_worked_example(self):
-        # elems 10/20/30 -> upgrade costs 5/10/15 bytes, gains 3.6/0.4/2.0;
-        # 20 bytes of headroom buys layers 0 and 2; the solver works in units
-        # of gcd(5, 10, 15) = 5 bytes, so it fills 4 rows of 20 // 5 + 1 cells
+        # elems 10/20/30 -> upgrade costs 40/80/120 bits, gains 3.6/0.4/2.0;
+        # 160 bits of headroom buys layers 0 and 2; the solver works in units
+        # of gcd(40, 80, 120) = 40 bits, so it fills 4 rows of 160 // 40 + 1 cells
         scores = [0.9, 0.1, 0.5]
         sizes4 = [40, 80, 120]
         sizes8 = [80, 160, 240]
@@ -163,10 +158,17 @@ class TestSolveBitplan:
         assert res.weight_bits == [8, 8, 4]
 
     def test_zero_cost_upgrade_taken(self):
-        # a single-element layer occupies one byte at either width, so its
-        # upgrade is free and happens even with zero headroom
+        # a single-element layer costs 4 bits to upgrade, which the 4 bits of
+        # headroom above the 44-bit floor buy
         res = planner.solve_bitplan([0.2, 0.4], [4, 40], [8, 80], limit_bits=48)
         assert res.weight_bits == [8, 4]
+
+    def test_odd_weight_counts_plan_at_the_floor(self):
+        # 15 and 16 weights: the all-4-bit floor is 124 bits, which no whole
+        # number of bytes per layer reaches
+        res = planner.solve_bitplan([0.1, 0.2], [60, 64], [120, 128], 124)
+        assert res.weight_bits == [4, 4]
+        assert res.achieved_size_bits == 124
 
     def test_floor_infeasible(self):
         with pytest.raises(InfeasiblePlanError):
@@ -204,15 +206,15 @@ class TestSolveBitplan:
 
     @pytest.mark.parametrize("gcd", [1, 2, 3, 8, 32])
     def test_matches_full_table_reference(self, gcd):
-        # e elements cost e // 2 bytes to upgrade: 2 * gcd * k elements cost
-        # gcd * k, one more element (an odd count) costs the same, and a
-        # 1-element layer upgrades for free
+        # e elements cost 4 * e bits to upgrade, so gcd * k elements cost
+        # 4 * gcd * k; odd counts (odd gcd and k, 1-element layers at gcd 1)
+        # are planned without rounding to bytes
         rng = np.random.default_rng(100 + gcd)
         for trial in range(60):
             n = int(rng.integers(1, 9))
-            elems = 2 * gcd * rng.integers(1, 12, size=n) + rng.integers(0, 2, size=n)
-            elems[rng.random(n) < 0.15] = 1
-            elems[rng.integers(0, n)] = 2 * gcd + 1  # pins the gcd of the costs
+            elems = gcd * rng.integers(1, 24, size=n)
+            elems[rng.random(n) < 0.15] = gcd
+            elems[rng.integers(0, n)] = gcd  # pins the gcd of the costs
             scores = [
                 rng.integers(-8, 9, size=n) / 8.0,  # exact sums, many ties
                 rng.standard_normal(n),
@@ -221,8 +223,8 @@ class TestSolveBitplan:
             ][trial % 4]
             sizes4 = [int(e) * 4 for e in elems]
             sizes8 = [int(e) * 8 for e in elems]
-            assert math.gcd(*(int(e) // 2 for e in elems)) == gcd
-            floor = 8 * sum(-(-int(e) // 2) for e in elems)  # all 4-bit, byte-rounded
+            assert math.gcd(*(s8 - s4 for s4, s8 in zip(sizes4, sizes8))) == 4 * gcd
+            floor = sum(sizes4)  # all 4-bit
             full = sum(sizes8)
             for limit in (floor - 1, floor, full, floor + int(rng.integers(0, full - floor + 1))):
                 want = _outcome(_full_table_plan, scores, sizes4, sizes8, limit)
@@ -231,14 +233,15 @@ class TestSolveBitplan:
                     assert got is want
                     continue
                 assert (got.weight_bits, got.objective, got.achieved_size_bits) == want
-                units = (limit - floor) // 8 // gcd
+                units = (limit - floor) // (4 * gcd)
                 assert got.solver_cells == (n + 1) * (units + 1)
 
     @pytest.mark.parametrize("odd_layer, peak_mb", [(False, 50), (True, 300)])
     def test_resnet50_memory(self, odd_layer, peak_mb):
-        # every ResNet-50 upgrade cost is a multiple of 32 bytes, so the
-        # solver keeps budget // 32 + 1 floats per row; one layer with an odd
-        # cost (gcd 1) makes it solve over every byte of budget
+        # every ResNet-50 upgrade cost is a multiple of 256 bits (32 bytes), so
+        # the solver keeps budget // 32 + 1 floats per row, budget in bytes; two
+        # more weights in one layer give it an odd cost in bytes (gcd 8 bits),
+        # and the solver then works over every byte of budget
         counts = _resnet50_weights()
         counts[0] += 2 * odd_layer
         n = len(counts)
