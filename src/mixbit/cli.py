@@ -92,28 +92,6 @@ class SenseConfig:
 
 
 @dataclass(frozen=True)
-class CliPlannerConfig(PlannerConfig):
-    """The `planner` section: PlannerConfig plus the activation-width mode.
-
-    gamma left unset follows 1 - beta, and ratio left unset is 0.5 unless
-    limit_bits is given.
-    """
-
-    gamma: float | None = None
-    ratio: float | None = None
-    activation_bits: str = "plan"
-
-    def __post_init__(self):
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 1.0 - self.beta)
-        if self.ratio is None and self.limit_bits is None:
-            object.__setattr__(self, "ratio", 0.5)
-        super().__post_init__()
-        if self.activation_bits not in ("plan", "8"):
-            raise ConfigError(f"planner.activation_bits must be 'plan' or '8', got {self.activation_bits!r}")
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     """The `eval` section: size, input noise and seed of the synthetic eval set."""
 
@@ -140,7 +118,7 @@ class PipelineConfig:
     distill: DistillConfig = DistillConfig()
     sensitivity: SenseConfig = SenseConfig()
     hardware: HwConfig = HwConfig()
-    planner: CliPlannerConfig = CliPlannerConfig()
+    planner: PlannerConfig = PlannerConfig()
     eval: EvalConfig = EvalConfig()
 
     def __post_init__(self):
@@ -376,10 +354,10 @@ def stage_plan(cfg: PipelineConfig) -> PlanResult:
 
 def _plan_bit_config(plan_doc: dict) -> quant.BitConfig:
     wb = [int(b) for b in plan_doc["weight_bits"]]
-    if plan_doc.get("activation_bits", "plan") == "8":
-        ab = [8] * len(wb)
-    else:
-        ab = list(wb)
+    # rebuilt to reject a missing or bad key; plan.json's limit_bits is the resolved budget
+    planner_cfg = PlannerConfig(**{f.name: plan_doc[f.name] for f in dataclasses.fields(PlannerConfig)
+                                   if f.name != "limit_bits"})
+    ab = [8] * len(wb) if planner_cfg.activation_bits == "8" else list(wb)
     return quant.BitConfig(wb, ab)
 
 

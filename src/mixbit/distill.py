@@ -57,11 +57,6 @@ def bn_stat_loss(trace: m.ForwardTrace, model: m.ModelGraph, targets: dict | Non
     return total
 
 
-def _loss_at(model: m.ModelGraph, x: np.ndarray, targets: dict) -> float:
-    _, trace = m.forward(model, x, record=True)
-    return bn_stat_loss(trace, model, targets)
-
-
 # Consecutive steps the loss may sit above 10x the initial value before the
 # descent is declared divergent.
 _DIVERGENCE_PATIENCE = 50
@@ -90,13 +85,10 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
 
     history = []
     bad_streak = 0
-    for step in range(config.steps):
+    for _ in range(config.steps):
         x = x - lr * grad
-        if step + 1 < config.steps:
-            # one pass gives this step's loss and the next step's gradient
-            cur, grad = m._stat_loss_and_gradient(model, x, targets)
-        else:
-            cur = _loss_at(model, x, targets)
+        # one pass gives this step's loss and the next step's gradient
+        cur, grad = m._stat_loss_and_gradient(model, x, targets)
         history.append(cur)
         if cur > threshold:
             bad_streak += 1

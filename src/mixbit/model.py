@@ -453,13 +453,11 @@ def _conv_backward_input(layer: Conv2d, x: np.ndarray, grad_out: np.ndarray) -> 
 
 
 def _avgpool_backward(layer: AvgPool, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    k, s = layer.window, layer.stride
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
+    k = layer.window
+    n, c, oh, ow = grad_out.shape
     gx = np.zeros_like(x)
     g = grad_out * np.float32(1.0 / (k * k))
-    for i in range(k):
-        for j in range(k):
-            gx[:, :, i:i + oh * s:s, j:j + ow * s:s] += g
+    _col2im_add(np.broadcast_to(g[:, :, None, None], (n, c, k, k, oh, ow)), gx, k, k, layer.stride)
     return gx
 
 
@@ -479,34 +477,24 @@ def _backward_input(layer, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     raise UnsupportedLayerError(f"no backward rule for {type(layer).__name__}")
 
 
-def stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
-                           target_stats: dict | None = None) -> tuple[float, np.ndarray]:
-    """Batch-statistic matching loss at `batch` and its gradient with respect to `batch`.
-
-    The loss is the sum over BatchNorm layers of the squared L2 distance
-    between the batch mean/std of the layer's input and target statistics
-    (defaulting to the model's stored running statistics). It is summed in
-    the same order from the same statistics as distill.bn_stat_loss over a
-    recorded forward pass, so the two agree bit for bit. Gradients flow
-    through every layer between the input and each BatchNorm, including
-    residual branches.
-    """
-    validate_model(model)
-    targets = bn_targets(model) if target_stats is None else target_stats
-    if not targets:
-        raise UnsupportedLayerError("input gradients need at least one BatchNorm layer")
-    return _stat_loss_and_gradient(model, batch, targets)
-
-
 def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
                             targets: dict) -> tuple[float, np.ndarray]:
-    """stat_loss_and_gradient for a validated model and non-empty targets; the batch is still checked."""
+    """Batch-statistic matching loss at `batch` and its gradient with respect to `batch`.
+
+    The loss is the sum over the BatchNorm layers in `targets` of the squared
+    L2 distance between the batch mean/std of the layer's input and the
+    target (mean, std). It is summed in the same order from the same
+    statistics as distill.bn_stat_loss over a recorded forward pass, so the
+    two agree bit for bit. The model must be validated and `targets`
+    non-empty; the batch is checked here. Only the layers before the last
+    target BatchNorm run, forward and backward, including residual branches.
+    """
     batch = _check_batch(model, batch)
-    acts = run_layers(model, batch)
-    # grads[i] is the loss gradient at acts[i], None until a term reaches it,
-    # so layers past the last BatchNorm are skipped and no zero tensors are
-    # allocated; a first term is stored as is, which equals 0 + term except
-    # that a -0.0 entry keeps its sign
+    last = max(targets)
+    acts = run_layers(ModelGraph(model.layers[:last], model.input_shape, model.class_count), batch)
+    # grads[i] is the loss gradient at acts[i], None until a term reaches it;
+    # a first term is stored as is, which equals 0 + term except that a -0.0
+    # entry keeps its sign
     grads = [None] * len(acts)
 
     def add(i, g):
@@ -525,24 +513,29 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
         term = dm[None, :, None, None] + ds[None, :, None, None] * (x.astype(np.float64) - m[None, :, None, None])
         add(i, term.astype(np.float32))
 
-    for i in range(len(model.layers) - 1, -1, -1):
+    for i in range(last - 1, -1, -1):
         g = grads[i + 1]
-        if g is None:
-            continue
         layer = model.layers[i]
         if isinstance(layer, ResidualAdd):
             add(i, g)
             add(layer.source + 1, g)
         else:
             add(i, _backward_input(layer, acts[i], g))
+        # lower layers read neither: they add only into grads[j] and
+        # grads[source + 1], and both indices are at most i
+        acts[i + 1] = grads[i + 1] = None
     if not np.isfinite(grads[0]).all():
         raise NumericFailureError("non-finite input gradient", layer_index=None)
     return loss, grads[0]
 
 
 def input_gradient(model: ModelGraph, batch: np.ndarray, target_stats: dict | None = None) -> np.ndarray:
-    """Gradient of the batch-statistic matching loss with respect to `batch` (see stat_loss_and_gradient)."""
-    return stat_loss_and_gradient(model, batch, target_stats)[1]
+    """Gradient of the loss _stat_loss_and_gradient computes, against the stored running statistics by default."""
+    validate_model(model)
+    targets = bn_targets(model) if target_stats is None else target_stats
+    if not targets:
+        raise UnsupportedLayerError("input gradients need at least one BatchNorm layer")
+    return _stat_loss_and_gradient(model, batch, targets)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -155,28 +155,38 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Blend weights plus the size budget, absolute or as a ratio.
+    """The `planner` section: blend weights, the size budget and the activation-width mode.
 
-    Exactly one of limit_bits / ratio must be set; ratio r picks the budget
-    size4 + r * (size8 - size4) over the weighted layers' weight bits.
+    gamma left unset follows 1 - beta. The budget is absolute (limit_bits)
+    or a ratio r, which picks size4 + r * (size8 - size4) over the weighted
+    layers' weight bits; at most one may be set, and ratio left unset is 0.5
+    unless limit_bits is given. activation_bits "plan" runs each layer's
+    activations at its planned weight width, "8" runs them all at 8 bits.
     """
 
     beta: float = 0.5
-    gamma: float = 0.5
-    ratio: float | None = 0.5
+    gamma: float | None = None
+    ratio: float | None = None
     limit_bits: int | None = None
+    activation_bits: str = "plan"
 
     def __post_init__(self):
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", 1.0 - self.beta)
+        if self.ratio is None and self.limit_bits is None:
+            object.__setattr__(self, "ratio", 0.5)
         if abs(self.beta + self.gamma - 1.0) > 1e-9:
             raise ConfigError(f"planner.beta + planner.gamma must equal 1, got {self.beta} + {self.gamma}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"planner.beta must lie in [0, 1], got {self.beta}")
-        if (self.ratio is None) == (self.limit_bits is None):
-            raise ConfigError("set exactly one of planner.ratio and planner.limit_bits")
+        if self.ratio is not None and self.limit_bits is not None:
+            raise ConfigError("set only one of planner.ratio and planner.limit_bits")
         if self.ratio is not None and not 0.0 <= self.ratio <= 1.0:
             raise ConfigError(f"planner.ratio must lie in [0, 1], got {self.ratio}")
         if self.limit_bits is not None and self.limit_bits < 0:
             raise ConfigError(f"planner.limit_bits must be non-negative, got {self.limit_bits}")
+        if self.activation_bits not in ("plan", "8"):
+            raise ConfigError(f"planner.activation_bits must be 'plan' or '8', got {self.activation_bits!r}")
 
 
 def resolve_limit(config: PlannerConfig, sizes4, sizes8) -> int:

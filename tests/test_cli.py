@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 
 import jsonschema
 import numpy as np
@@ -20,6 +21,21 @@ def _overrides(**kw):
                 beta=None, method=None, bits_activations=None)
     base.update(kw)
     return argparse.Namespace(**base)
+
+
+def _small_net():
+    """1x4x4 input: conv 1->3 k3 pad 1 (27 weights), BN, ReLU, AvgPool 4, Linear 3->5 (15 weights)."""
+    rng = np.random.default_rng(0)
+    return m.ModelGraph(layers=[
+        m.Conv2d(1, 3, 3, 3, padding=1, weight=rng.standard_normal((3, 1, 3, 3), dtype=np.float32),
+                 bias=np.zeros(3, dtype=np.float32)),
+        m.BatchNorm(3, running_mean=np.zeros(3, dtype=np.float32), running_var=np.ones(3, dtype=np.float32),
+                    gamma=np.ones(3, dtype=np.float32), beta=np.zeros(3, dtype=np.float32)),
+        m.ReLU(),
+        m.AvgPool(4, 4),
+        m.Linear(3, 5, weight=rng.standard_normal((5, 3), dtype=np.float32),
+                 bias=np.zeros(5, dtype=np.float32)),
+    ], input_shape=(1, 4, 4), class_count=5)
 
 
 @pytest.fixture(scope="module")
@@ -218,19 +234,8 @@ class TestStageFlags:
 
     def test_ratio_zero_with_odd_weight_counts(self, tmp_path):
         # 27 conv and 15 linear weights: the all-4-bit floor is 168 bits
-        rng = np.random.default_rng(0)
-        net = m.ModelGraph(layers=[
-            m.Conv2d(1, 3, 3, 3, padding=1, weight=rng.standard_normal((3, 1, 3, 3), dtype=np.float32),
-                     bias=np.zeros(3, dtype=np.float32)),
-            m.BatchNorm(3, running_mean=np.zeros(3, dtype=np.float32), running_var=np.ones(3, dtype=np.float32),
-                        gamma=np.ones(3, dtype=np.float32), beta=np.zeros(3, dtype=np.float32)),
-            m.ReLU(),
-            m.AvgPool(4, 4),
-            m.Linear(3, 5, weight=rng.standard_normal((5, 3), dtype=np.float32),
-                     bias=np.zeros(5, dtype=np.float32)),
-        ], input_shape=(1, 4, 4), class_count=5)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": str(m.save_model(net, tmp_path / "odd.json")),
+        config.write_text(json.dumps({"model": str(m.save_model(_small_net(), tmp_path / "odd.json")),
                                       "distill": {"steps": 5}}))
         out = tmp_path / "out"
         rc = cli.main(["pipeline", "--config", str(config), "--out", str(out), "--ratio", "0"])
@@ -303,6 +308,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "plan.json" in err
         assert "weight_bits" in err
+        assert "mixbit plan" in err
+
+    @pytest.mark.parametrize("command", ["quantize", "eval"])
+    @pytest.mark.parametrize("value", ["4", 16, None], ids=["str4", "int16", "missing"])
+    def test_plan_with_bad_activation_bits(self, light_config, pipeline_run, tmp_path, capsys,
+                                           command, value):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        plan = json.loads((out / cli.ART_PLAN).read_text())
+        if value is None:
+            del plan["activation_bits"]
+        else:
+            plan["activation_bits"] = value
+        (out / cli.ART_PLAN).write_text(json.dumps(plan))
+        rc = cli.main([command, "--config", light_config, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "plan.json" in err
+        assert "activation_bits" in err
         assert "mixbit plan" in err
 
     def test_bad_config_value_names_field(self, tmp_path, capsys):
@@ -400,6 +424,20 @@ class TestExitCodes:
         rc = cli.main(["distill", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_after_last_batch_norm_is_found_by_sense(self, tmp_path, capsys):
+        # distill runs only the layers before the BatchNorm; the linear head overflows
+        net = _small_net()
+        net.layers[4].weight = np.full((5, 3), 3e38, dtype=np.float32)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": str(m.save_model(net, tmp_path / "net.json")),
+                                      "distill": {"steps": 5}}))
+        out = tmp_path / "out"
+        assert cli.main(["distill", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["sense", "--config", str(config), "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert "non-finite values after layer 4 (linear)" in capsys.readouterr().err
 
 
 class TestLoadConfig:

@@ -60,7 +60,7 @@ def test_distill_history_matches_two_pass_reference(name):
 def test_fused_loss_matches_recorded_forward():
     net = zoo.toy_cnn(1)
     x = _batch(net, 6, 7)
-    loss, grad = m.stat_loss_and_gradient(net, x)
+    loss, grad = m._stat_loss_and_gradient(net, x, m.bn_targets(net))
     _, trace = m.forward(net, x, record=True)
     assert loss == bn_stat_loss(trace, net)
     assert _same_bits(grad, m.input_gradient(net, x))

@@ -295,8 +295,17 @@ class TestPlannerConfig:
     def test_exactly_one_budget_form(self):
         with pytest.raises(ConfigError):
             planner.PlannerConfig(ratio=0.5, limit_bits=1000)
-        with pytest.raises(ConfigError):
-            planner.PlannerConfig(ratio=None, limit_bits=None)
+        assert planner.PlannerConfig(ratio=None, limit_bits=None).ratio == 0.5
+
+    def test_unset_fields_follow_the_config_file_rules(self):
+        cfg = planner.PlannerConfig(beta=0.3)
+        assert (cfg.gamma, cfg.ratio, cfg.activation_bits) == (pytest.approx(0.7), 0.5, "plan")
+        cfg = planner.PlannerConfig(limit_bits=1000)
+        assert (cfg.ratio, cfg.limit_bits) == (None, 1000)
+        assert planner.PlannerConfig(activation_bits="8").activation_bits == "8"
+        for bad in ("4", 8):
+            with pytest.raises(ConfigError, match="activation_bits"):
+                planner.PlannerConfig(activation_bits=bad)
 
     def test_blend_validation(self):
         with pytest.raises(ConfigError):
