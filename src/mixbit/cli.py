@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedLayerError,
 )
 from .hwsim import HwConfig, HwProfile, profile_model
-from .planner import PlannerConfig, PlanResult, blend_scores, plan_pipeline
+from .planner import BIT_HIGH, BIT_LOW, PlannerConfig, PlanResult, blend_scores, plan_pipeline
 from .sensitivity import SensitivityReport, mqe_sensitivity, naive_sensitivity
 
 log = logging.getLogger("mixbit")
@@ -240,7 +240,7 @@ def _read_artifact(path: Path, produced_by: str, parse=None):
     try:
         doc = json.loads(path.read_text())
         return doc if parse is None else parse(doc)
-    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
         raise ConfigError(f"malformed artifact {path.name} ({exc!r}): "
                           f"rerun `mixbit {produced_by}`") from exc
 
@@ -284,7 +284,7 @@ def _load_distilled(cfg: PipelineConfig) -> SyntheticBatch:
     def parse(doc: dict) -> SyntheticBatch:
         blob = out / doc["blob"]
         flat = np.frombuffer(blob.read_bytes(), dtype="<f4")
-        need = int(np.prod(doc["shape"]))
+        need = math.prod(doc["shape"])  # Python arithmetic: a huge or infinite entry does not overflow
         if flat.size != need:
             raise ValueError(f"{blob.name} holds {flat.size} values, shape {doc['shape']} needs {need}")
         return SyntheticBatch(
@@ -295,6 +295,16 @@ def _load_distilled(cfg: PipelineConfig) -> SyntheticBatch:
         )
 
     return _read_artifact(out / ART_DISTILLED, "distill", parse)
+
+
+def _load_profile(cfg: PipelineConfig) -> HwProfile:
+    def parse(doc: dict) -> HwProfile:
+        profile = HwProfile.from_dict(doc)
+        if profile.candidates != quant.BIT_CHOICES:  # the bit-widths stage_profile costs
+            raise ConfigError(f"candidates {list(profile.candidates)} are not {list(quant.BIT_CHOICES)}")
+        return profile
+
+    return _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", parse)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +345,9 @@ def stage_sense(cfg: PipelineConfig) -> SensitivityReport:
 
 def stage_profile(cfg: PipelineConfig) -> HwProfile:
     net, _ = ensure_model(cfg)
-    profile = profile_model(net, (4, 8, 32), cfg.hardware)
+    profile = profile_model(net, quant.BIT_CHOICES, cfg.hardware)
     out = _out(cfg)
-    profile.save_json(out / ART_PROFILE_JSON)
+    _write_json(out / ART_PROFILE_JSON, profile.to_dict())
     profile.save_csv(out / ART_PROFILE_CSV)
     log.info("profiled %d rows, l_max=%d", len(profile.rows), profile.bram.l_max)
     return profile
@@ -345,18 +355,18 @@ def stage_profile(cfg: PipelineConfig) -> HwProfile:
 
 def stage_plan(cfg: PipelineConfig) -> PlanResult:
     report = _read_artifact(_out(cfg) / ART_SENSITIVITY, "sense", SensitivityReport.from_dict)
-    profile = _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
-    plan = plan_pipeline(report, profile, cfg.planner)
-    _write_json(_out(cfg) / ART_PLAN, {**dataclasses.asdict(cfg.planner), **plan.to_dict()})
+    plan = plan_pipeline(report, _load_profile(cfg), cfg.planner)
+    _write_json(_out(cfg) / ART_PLAN, {"planner": dataclasses.asdict(cfg.planner), **plan.to_dict()})
     log.info("plan: %s (objective %.6g)", plan.weight_bits, plan.objective)
     return plan
 
 
 def _plan_bit_config(plan_doc: dict) -> quant.BitConfig:
-    wb = [int(b) for b in plan_doc["weight_bits"]]
-    # rebuilt to reject a missing or bad key; plan.json's limit_bits is the resolved budget
-    planner_cfg = PlannerConfig(**{f.name: plan_doc[f.name] for f in dataclasses.fields(PlannerConfig)
-                                   if f.name != "limit_bits"})
+    wb = plan_doc["weight_bits"]
+    if type(wb) is not list or any(type(b) is not int or b not in (BIT_LOW, BIT_HIGH) for b in wb):
+        raise ConfigError(f"weight_bits must be a list of {BIT_LOW} and {BIT_HIGH}, got {json.dumps(wb)}")
+    # rebuilt to reject a missing or bad key
+    planner_cfg = PlannerConfig(**{f.name: plan_doc["planner"][f.name] for f in dataclasses.fields(PlannerConfig)})
     ab = [8] * len(wb) if planner_cfg.activation_bits == "8" else list(wb)
     return quant.BitConfig(wb, ab)
 
@@ -408,7 +418,7 @@ def stage_eval(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
     batch = _load_distilled(cfg)
     planned = _read_artifact(_out(cfg) / ART_PLAN, "plan", _plan_bit_config)
-    profile = _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
+    profile = _load_profile(cfg)
     count = len(m.weighted_layers(net))
 
     _, calib = m.forward(net, batch.data, record=True)  # shared by every variant's grids
@@ -448,94 +458,6 @@ def stage_eval(cfg: PipelineConfig) -> dict:
 # report
 
 
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["meta", "config", "model", "bram", "layers", "plan", "sizes", "eval"],
-    "additionalProperties": False,
-    "properties": {
-        "meta": {
-            "type": "object",
-            "required": ["timestamp", "tool", "version", "model_path", "canonical_sha256"],
-            "properties": {
-                "timestamp": {"type": "string"},
-                "tool": {"type": "string"},
-                "version": {"type": "string"},
-                "model_path": {"type": "string"},
-                "canonical_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-            },
-        },
-        "config": {"type": "object"},
-        "model": {
-            "type": "object",
-            "required": ["sha256", "input_shape", "class_count", "weighted_layers"],
-            "properties": {
-                "sha256": {
-                    "type": "object",
-                    "required": ["manifest", "blob"],
-                    "properties": {
-                        "manifest": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-                        "blob": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-                    },
-                },
-                "input_shape": {"type": "array", "items": {"type": "integer"}},
-                "class_count": {"type": "integer"},
-                "weighted_layers": {"type": "integer"},
-            },
-        },
-        "bram": {
-            "type": "object",
-            "required": ["weight_blocks", "feature_blocks", "output_blocks", "l_max"],
-        },
-        "layers": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["layer_index", "kind", "weight_elems", "omega", "omega_hat",
-                             "cycles", "energy", "c_hat", "e_hat", "score", "bits",
-                             "weight_size_bits"],
-                "properties": {
-                    "layer_index": {"type": "integer"},
-                    "kind": {"type": "string"},
-                    "weight_elems": {"type": "integer"},
-                    "omega": {"type": "number"},
-                    "omega_hat": {"type": "number"},
-                    "cycles": {
-                        "type": "object",
-                        "required": ["compute", "transfer", "write_back", "post_process", "total"],
-                        "properties": {
-                            "compute": {"type": "integer"},
-                            "transfer": {"type": "integer"},
-                            "write_back": {"type": "integer"},
-                            "post_process": {"type": "integer"},
-                            "total": {"type": "integer"},
-                        },
-                    },
-                    "energy": {"type": "number"},
-                    "c_hat": {"type": "number"},
-                    "e_hat": {"type": "number"},
-                    "score": {"type": "number"},
-                    "bits": {"type": "integer", "enum": [4, 8]},
-                    "weight_size_bits": {"type": "integer"},
-                },
-            },
-        },
-        "plan": {
-            "type": "object",
-            "required": ["weight_bits", "activation_bits", "objective",
-                         "achieved_size_bits", "limit_bits", "solver_cells"],
-        },
-        "sizes": {
-            "type": "object",
-            "required": ["weight_bits_total", "fixed_bits", "total_bits", "megabytes",
-                         "limit_bits"],
-        },
-        "eval": {"type": "object", "required": ["samples", "variants"]},
-    },
-}
-
-
 # Meta fields that depend on when or where a run happened; the model itself
 # enters the hash through the sha256 of its files.
 _VOLATILE_META = ("timestamp", "model_path", "canonical_sha256")
@@ -567,14 +489,14 @@ def assemble_report(cfg: PipelineConfig) -> dict:
     except ValueError:
         pass
     sense_doc = _read_artifact(out / ART_SENSITIVITY, "sense")
-    profile = _read_artifact(out / ART_PROFILE_JSON, "profile", HwProfile.from_dict)
+    profile = _load_profile(cfg)
     plan_doc = _read_artifact(out / ART_PLAN, "plan")
     quant_doc = _read_artifact(out / ART_QUANTIZED, "quantize")
     eval_doc = _read_artifact(out / ART_EVAL, "eval")
 
     omega = np.asarray(sense_doc["omega"], dtype=np.float64)
-    w_hat, c_hat, e_hat, scores = blend_scores(omega, profile, float(plan_doc["beta"]),
-                                               float(plan_doc["gamma"]))
+    w_hat, c_hat, e_hat, scores = blend_scores(omega, profile, float(plan_doc["planner"]["beta"]),
+                                               float(plan_doc["planner"]["gamma"]))
 
     layer_rows = []
     bits = [int(b) for b in plan_doc["weight_bits"]]
@@ -627,22 +549,6 @@ def assemble_report(cfg: PipelineConfig) -> dict:
     return report
 
 
-def _report_csv_rows(report: dict) -> list[list]:
-    head = ["layer_index", "kind", "weight_elems", "omega", "omega_hat", "c_hat", "e_hat",
-            "score", "bits", "weight_size_bits", "compute", "transfer", "write_back",
-            "post_process", "total_cycles", "energy"]
-    rows = [head]
-    for r in report["layers"]:
-        rows.append([
-            r["layer_index"], r["kind"], r["weight_elems"], repr(r["omega"]),
-            repr(r["omega_hat"]), repr(r["c_hat"]), repr(r["e_hat"]), repr(r["score"]),
-            r["bits"], r["weight_size_bits"], r["cycles"]["compute"], r["cycles"]["transfer"],
-            r["cycles"]["write_back"], r["cycles"]["post_process"], r["cycles"]["total"],
-            repr(r["energy"]),
-        ])
-    return rows
-
-
 def stage_pipeline(cfg: PipelineConfig) -> dict:
     stage_distill(cfg)
     stage_sense(cfg)
@@ -654,7 +560,11 @@ def stage_pipeline(cfg: PipelineConfig) -> dict:
     out = _out(cfg)
     _write_json(out / ART_REPORT_JSON, report)
     with open(out / ART_REPORT_CSV, "w", newline="") as fh:
-        csv.writer(fh).writerows(_report_csv_rows(report))
+        writer = csv.DictWriter(fh, ("layer_index", "kind", "weight_elems", "omega", "omega_hat", "c_hat", "e_hat",
+                                     "score", "bits", "weight_size_bits", "compute", "transfer", "write_back",
+                                     "post_process", "total_cycles", "energy"), extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows({**r, **r["cycles"], "total_cycles": r["cycles"]["total"]} for r in report["layers"])
     print(f"plan: {report['plan']['weight_bits']}  "
           f"size: {report['sizes']['weight_bits_total']}/{report['sizes']['limit_bits']} weight bits")
     for name, r in report["eval"]["variants"].items():

@@ -79,7 +79,8 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal((config.batch_size, *model.input_shape), dtype=np.float32)
     # the model is validated once here; each step still checks its batch
-    initial, grad = m._stat_loss_and_gradient(model, x, targets)
+    trace, grad = m._stat_loss_and_gradient(model, x, targets)
+    initial = bn_stat_loss(trace, model, targets)
     threshold = _DIVERGENCE_FACTOR * max(initial, 1e-30)
     lr = np.float32(config.learning_rate)
 
@@ -88,7 +89,8 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
     for _ in range(config.steps):
         x = x - lr * grad
         # one pass gives this step's loss and the next step's gradient
-        cur, grad = m._stat_loss_and_gradient(model, x, targets)
+        trace, grad = m._stat_loss_and_gradient(model, x, targets)
+        cur = bn_stat_loss(trace, model, targets)
         history.append(cur)
         if cur > threshold:
             bad_streak += 1

@@ -293,6 +293,8 @@ class HwProfile:
             raise ConfigError("profile rows repeat a (layer_index, bits) pair")
         # layer index -> weight count, in order of first appearance
         self._elems = {r.layer_index: r.weight_elems for r in self.rows}
+        if set(self._costs) != {(i, b) for i in self._elems for b in self.candidates}:
+            raise ConfigError(f"profile rows must cost every layer at each of the candidates {list(self.candidates)}")
 
     def cost(self, layer_index: int, bits: int) -> LayerCost:
         try:
@@ -342,9 +344,6 @@ class HwProfile:
             candidates=tuple(d["candidates"]),
             rows=rows,
         )
-
-    def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load_json(cls, path) -> "HwProfile":

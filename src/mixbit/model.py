@@ -126,7 +126,8 @@ class ForwardTrace:
 
     activations[i] is the tensor layer i consumed; activations[-1] is the
     logits. bn_means/bn_stds hold float64 population statistics of each
-    BatchNorm layer's input, keyed by layer index.
+    BatchNorm layer's input, keyed by layer index. The trace of the distill
+    gradient pass (_stat_loss_and_gradient) holds no activations.
     """
 
     activations: list
@@ -478,16 +479,16 @@ def _backward_input(layer, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
-                            targets: dict) -> tuple[float, np.ndarray]:
-    """Batch-statistic matching loss at `batch` and its gradient with respect to `batch`.
+                            targets: dict) -> tuple[ForwardTrace, np.ndarray]:
+    """BatchNorm input statistics at `batch` and the statistic loss's gradient with respect to `batch`.
 
-    The loss is the sum over the BatchNorm layers in `targets` of the squared
-    L2 distance between the batch mean/std of the layer's input and the
-    target (mean, std). It is summed in the same order from the same
-    statistics as distill.bn_stat_loss over a recorded forward pass, so the
-    two agree bit for bit. The model must be validated and `targets`
-    non-empty; the batch is checked here. Only the layers before the last
-    target BatchNorm run, forward and backward, including residual branches.
+    The loss, distill.bn_stat_loss of the returned trace, is the sum over the
+    BatchNorm layers in `targets` of the squared L2 distance between the
+    batch mean/std of the layer's input and the target (mean, std); the
+    statistics are those a recorded forward pass gives, bit for bit. The
+    model must be validated and `targets` non-empty; the batch is checked
+    here. Only the layers before the last target BatchNorm run, forward and
+    backward, including residual branches.
     """
     batch = _check_batch(model, batch)
     last = max(targets)
@@ -501,12 +502,12 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
         grads[i] = g if grads[i] is None else grads[i] + g
 
     # direct statistic terms at each BN input
-    loss = 0.0
+    means, stds = {}, {}
     for i, (u, sig) in targets.items():
         x = acts[i]
         m, s = _channel_stats(x)
+        means[i], stds[i] = m, s
         du, dsig = m - u, s - sig
-        loss += float(du @ du) + float(dsig @ dsig)
         nhw = x.shape[0] * x.shape[2] * x.shape[3]
         dm = 2.0 * du / nhw
         ds = 2.0 * dsig / (nhw * np.maximum(s, 1e-12))
@@ -526,13 +527,13 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
         acts[i + 1] = grads[i + 1] = None
     if not np.isfinite(grads[0]).all():
         raise NumericFailureError("non-finite input gradient", layer_index=None)
-    return loss, grads[0]
+    return ForwardTrace([], means, stds), grads[0]
 
 
-def input_gradient(model: ModelGraph, batch: np.ndarray, target_stats: dict | None = None) -> np.ndarray:
-    """Gradient of the loss _stat_loss_and_gradient computes, against the stored running statistics by default."""
+def input_gradient(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
+    """Gradient of distill.bn_stat_loss against the stored running statistics, with respect to `batch`."""
     validate_model(model)
-    targets = bn_targets(model) if target_stats is None else target_stats
+    targets = bn_targets(model)
     if not targets:
         raise UnsupportedLayerError("input gradients need at least one BatchNorm layer")
     return _stat_loss_and_gradient(model, batch, targets)[1]

@@ -149,9 +149,8 @@ class BitConfig:
                 raise ConfigError(f"bit-width must be one of {BIT_CHOICES}, got {b}")
 
     @classmethod
-    def uniform(cls, count: int, bits: int, activation_bits: int | None = None) -> "BitConfig":
-        ab = bits if activation_bits is None else activation_bits
-        return cls([bits] * count, [ab] * count)
+    def uniform(cls, count: int, bits: int) -> "BitConfig":
+        return cls([bits] * count, [bits] * count)
 
 
 @dataclass
@@ -165,7 +164,6 @@ class QuantizedModel:
     """
 
     base: m.ModelGraph
-    bit_config: BitConfig
     weight_params: list
     act_params: list
     weight_codes: list
@@ -221,7 +219,7 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
             aparams.append(None)
         else:
             aparams.append(calibrate_minmax(trace.activations[idx], ab, symmetric=False))
-    return QuantizedModel(model, bit_config, wparams, aparams, codes)
+    return QuantizedModel(model, wparams, aparams, codes)
 
 
 def _quantized_run(qmodel: QuantizedModel, batch: np.ndarray, prefix, keep: bool) -> list:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import shutil
 
@@ -8,6 +9,94 @@ import pytest
 
 from mixbit import cli, planner, quant, zoo
 from mixbit import model as m
+
+
+REPORT_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "required": ["meta", "config", "model", "bram", "layers", "plan", "sizes", "eval"],
+    "additionalProperties": False,
+    "properties": {
+        "meta": {
+            "type": "object",
+            "required": ["timestamp", "tool", "version", "model_path", "canonical_sha256"],
+            "properties": {
+                "timestamp": {"type": "string"},
+                "tool": {"type": "string"},
+                "version": {"type": "string"},
+                "model_path": {"type": "string"},
+                "canonical_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+            },
+        },
+        "config": {"type": "object"},
+        "model": {
+            "type": "object",
+            "required": ["sha256", "input_shape", "class_count", "weighted_layers"],
+            "properties": {
+                "sha256": {
+                    "type": "object",
+                    "required": ["manifest", "blob"],
+                    "properties": {
+                        "manifest": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+                        "blob": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+                    },
+                },
+                "input_shape": {"type": "array", "items": {"type": "integer"}},
+                "class_count": {"type": "integer"},
+                "weighted_layers": {"type": "integer"},
+            },
+        },
+        "bram": {
+            "type": "object",
+            "required": ["weight_blocks", "feature_blocks", "output_blocks", "l_max"],
+        },
+        "layers": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["layer_index", "kind", "weight_elems", "omega", "omega_hat",
+                             "cycles", "energy", "c_hat", "e_hat", "score", "bits",
+                             "weight_size_bits"],
+                "properties": {
+                    "layer_index": {"type": "integer"},
+                    "kind": {"type": "string"},
+                    "weight_elems": {"type": "integer"},
+                    "omega": {"type": "number"},
+                    "omega_hat": {"type": "number"},
+                    "cycles": {
+                        "type": "object",
+                        "required": ["compute", "transfer", "write_back", "post_process", "total"],
+                        "properties": {
+                            "compute": {"type": "integer"},
+                            "transfer": {"type": "integer"},
+                            "write_back": {"type": "integer"},
+                            "post_process": {"type": "integer"},
+                            "total": {"type": "integer"},
+                        },
+                    },
+                    "energy": {"type": "number"},
+                    "c_hat": {"type": "number"},
+                    "e_hat": {"type": "number"},
+                    "score": {"type": "number"},
+                    "bits": {"type": "integer", "enum": [4, 8]},
+                    "weight_size_bits": {"type": "integer"},
+                },
+            },
+        },
+        "plan": {
+            "type": "object",
+            "required": ["weight_bits", "activation_bits", "objective",
+                         "achieved_size_bits", "limit_bits", "solver_cells"],
+        },
+        "sizes": {
+            "type": "object",
+            "required": ["weight_bits_total", "fixed_bits", "total_bits", "megabytes",
+                         "limit_bits"],
+        },
+        "eval": {"type": "object", "required": ["samples", "variants"]},
+    },
+}
 
 
 LIGHT = {
@@ -65,7 +154,7 @@ class TestPipeline:
 
     def test_report_matches_schema(self, pipeline_run):
         _, report = pipeline_run
-        jsonschema.validate(report, cli.REPORT_SCHEMA)
+        jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_report_layer_rows(self, pipeline_run):
         _, report = pipeline_run
@@ -119,6 +208,16 @@ class TestPipeline:
             want = quant.quantize(net.layers[entry["layer_index"]].weight, grid)
             np.testing.assert_array_equal(codes, want)
         assert end == blob.size
+
+    def test_plan_keeps_the_configured_planner_block(self, light_config, pipeline_run, tmp_path):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        assert cli.main(["plan", "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
+        plan, report = json.loads((out / cli.ART_PLAN).read_text()), pipeline_run[1]
+        # the block is the config as given; the top-level limit_bits is the budget it resolved to
+        assert plan["planner"] == dataclasses.asdict(planner.PlannerConfig())
+        assert (plan["planner"]["ratio"], plan["planner"]["limit_bits"]) == (0.5, None)
+        assert plan["limit_bits"] == 6 * sum(r["weight_elems"] for r in report["layers"])  # 4 + 0.5 * (8 - 4)
 
     def test_csv_row_count(self, pipeline_run):
         out, report = pipeline_run
@@ -299,6 +398,17 @@ class TestExitCodes:
         assert "distilled.bin" in err
         assert "mixbit distill" in err
 
+    @pytest.mark.parametrize("shape", [[4, 3, 8, 1e308], [4, 3, 8, float("inf")]], ids=["huge", "infinite"])
+    def test_distilled_shape_of_non_integers(self, light_config, pipeline_run, tmp_path, capsys, shape):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_DISTILLED).read_text())
+        doc["shape"] = shape
+        (out / cli.ART_DISTILLED).write_text(json.dumps(doc))
+        assert cli.main(["sense", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "distilled.json" in err and "shape" in err and "mixbit distill" in err
+
     def test_plan_without_weight_bits(self, light_config, tmp_path, capsys):
         out = tmp_path / "o"
         assert cli.main(["distill", "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
@@ -318,9 +428,9 @@ class TestExitCodes:
         shutil.copytree(pipeline_run[0], out)
         plan = json.loads((out / cli.ART_PLAN).read_text())
         if value is None:
-            del plan["activation_bits"]
+            del plan["planner"]["activation_bits"]
         else:
-            plan["activation_bits"] = value
+            plan["planner"]["activation_bits"] = value
         (out / cli.ART_PLAN).write_text(json.dumps(plan))
         rc = cli.main([command, "--config", light_config, "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
@@ -328,6 +438,46 @@ class TestExitCodes:
         assert "plan.json" in err
         assert "activation_bits" in err
         assert "mixbit plan" in err
+
+    def test_plan_without_planner_block_exits_2(self, light_config, pipeline_run, tmp_path, capsys):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        plan = json.loads((out / cli.ART_PLAN).read_text())
+        # the layout before the planner block: its keys at the top, limit_bits resolved
+        (out / cli.ART_PLAN).write_text(json.dumps({**plan.pop("planner"), **plan}))
+        assert cli.main(["quantize", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "plan.json" in err and "rerun `mixbit plan`" in err
+
+    @pytest.mark.parametrize("command", ["quantize", "eval"])
+    @pytest.mark.parametrize("value", ["44444", [32] * 5, [4.0] * 5], ids=["string", "int32", "float4"])
+    def test_plan_with_bad_weight_bits(self, light_config, pipeline_run, tmp_path, capsys, command, value):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        plan = json.loads((out / cli.ART_PLAN).read_text())
+        plan["weight_bits"] = value
+        (out / cli.ART_PLAN).write_text(json.dumps(plan))
+        assert cli.main([command, "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "plan.json" in err and "weight_bits" in err and "mixbit plan" in err
+
+    @pytest.mark.parametrize("command, dropped, candidates", [
+        ("plan", 8, [4, 8, 32]),
+        ("eval", 32, [4, 8, 32]),
+        ("eval", 4, [4, 8, 32]),
+        ("eval", 32, [4, 8]),
+    ], ids=["plan-no8", "eval-no32", "eval-no4", "eval-candidates48"])
+    def test_partial_profile_exits_2(self, light_config, pipeline_run, tmp_path, capsys, command, dropped,
+                                     candidates):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_PROFILE_JSON).read_text())
+        doc["rows"] = [r for r in doc["rows"] if r["bits"] != dropped]
+        doc["candidates"] = candidates
+        (out / cli.ART_PROFILE_JSON).write_text(json.dumps(doc))
+        assert cli.main([command, "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "profile.json" in err and "rerun `mixbit profile`" in err
 
     def test_bad_config_value_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -40,7 +40,7 @@ def _two_pass_descent(net, config, steps):
     lr = np.float32(config.learning_rate)
     history = []
     for _ in range(steps):
-        x = x - lr * m.input_gradient(net, x, targets)
+        x = x - lr * m.input_gradient(net, x)
         _, trace = m.forward(net, x, record=True)
         history.append(bn_stat_loss(trace, net, targets))
     return x, history
@@ -60,9 +60,13 @@ def test_distill_history_matches_two_pass_reference(name):
 def test_fused_loss_matches_recorded_forward():
     net = zoo.toy_cnn(1)
     x = _batch(net, 6, 7)
-    loss, grad = m._stat_loss_and_gradient(net, x, m.bn_targets(net))
+    fused, grad = m._stat_loss_and_gradient(net, x, m.bn_targets(net))
     _, trace = m.forward(net, x, record=True)
-    assert loss == bn_stat_loss(trace, net)
+    assert fused.activations == []
+    for stats, recorded in ((fused.bn_means, trace.bn_means), (fused.bn_stds, trace.bn_stds)):
+        assert list(stats) == list(recorded)
+        assert all(_same_bits(stats[i], recorded[i]) for i in stats)
+    assert bn_stat_loss(fused, net) == bn_stat_loss(trace, net)
     assert _same_bits(grad, m.input_gradient(net, x))
 
 
@@ -107,7 +111,7 @@ def test_divergence_fires_at_the_reference_step():
     history, streak = [], 0
     while streak < _DIVERGENCE_PATIENCE:
         assert len(history) < 500, "reference descent does not diverge"
-        x = x - np.float32(config.learning_rate) * m.input_gradient(net, x, targets)
+        x = x - np.float32(config.learning_rate) * m.input_gradient(net, x)
         _, trace = m.forward(net, x, record=True)
         history.append(bn_stat_loss(trace, net, targets))
         streak = streak + 1 if history[-1] > threshold else 0

@@ -1,4 +1,4 @@
-"""On-disk formats: pinned bytes of the model and profile files, and a fuzzed manifest loader."""
+"""On-disk formats: pinned bytes of the model and profile files, a fuzzed manifest loader and fuzzed stage artifacts."""
 
 import copy
 import hashlib
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixbit import hwsim, model as m, zoo
+from mixbit import cli, hwsim, model as m, zoo
 from mixbit.errors import ModelFormatError, ShapeMismatchError, UnsupportedLayerError
 
 
@@ -17,7 +17,15 @@ def _sha256(data: bytes) -> str:
 
 
 class TestPinnedBytes:
-    """sha256 of files written for zoo.toy_cnn(0); any change here changes every report hash."""
+    """sha256 of files written for zoo.toy_cnn(0).
+
+    A change to the model files changes every report hash, since the report
+    carries their sha256. The report carries none of the profile files'
+    bytes: a change to profile.json changes the hash only where it changes a
+    value the later stages read (bram, the 8-bit costs behind the scores and
+    the report's cost columns, the cycle totals eval sums), and profile.csv
+    enters no hash.
+    """
 
     def test_model_manifest_and_blob(self, tmp_path):
         path = m.save_model(zoo.toy_cnn(0), tmp_path / "model.json")
@@ -88,3 +96,54 @@ def test_mutated_manifest_loads_or_raises_model_error(saved_toy, data):
     x = np.random.default_rng(0).standard_normal((2, *net.input_shape), dtype=np.float32)
     logits, _ = m.forward(net, x)
     assert logits.shape == (2, net.class_count)
+
+
+# each fuzzed artifact -> the stages that read it
+_READERS = {
+    cli.ART_DISTILLED: ("sense",),
+    cli.ART_SENSITIVITY: ("plan",),
+    cli.ART_PROFILE_JSON: ("plan", "eval"),
+    cli.ART_PLAN: ("quantize", "eval"),
+}
+_VALUES = st.integers(-5, 3000) | st.sampled_from(
+    [True, None, 0.5, -1.5, 1e308, float("nan"), float("inf"), "4", "", [], [4], {}])
+
+
+@pytest.fixture(scope="module")
+def stagewise_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("artifacts")
+    config = root / "config.json"
+    config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 4}, "eval": {"samples": 8}}))
+    out = root / "out"
+    for stage in ("distill", "sense", "profile", "plan"):
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    return config, out, {name: json.loads((out / name).read_text()) for name in _READERS}
+
+
+def _paths(doc, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_artifact_exits_with_a_code(stagewise_run, data):
+    config, out, docs = stagewise_run
+    name = data.draw(st.sampled_from(sorted(_READERS)))
+    doc = copy.deepcopy(docs[name])
+    *parents, key = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    if isinstance(owner, dict) and data.draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = data.draw(_VALUES)
+    for other, pristine in docs.items():
+        (out / other).write_text(json.dumps(doc if other == name else pristine))
+    for stage in _READERS[name]:
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) in (
+            cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE, cli.EXIT_NUMERIC)

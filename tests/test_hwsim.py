@@ -262,7 +262,7 @@ class TestProfile:
         net = zoo.tiny_cnn(0)
         prof = hwsim.profile_model(net, (4, 8, 32))
         path = tmp_path / "profile.json"
-        prof.save_json(path)
+        path.write_text(json.dumps(prof.to_dict()))
         back = hwsim.HwProfile.load_json(path)
         assert back.to_dict() == prof.to_dict()
         for a, b in zip(back.rows, prof.rows):
@@ -272,6 +272,18 @@ class TestProfile:
         doc = hwsim.profile_model(zoo.tiny_cnn(0), (4, 8)).to_dict()
         doc["rows"].append(doc["rows"][0])
         with pytest.raises(ConfigError, match="repeat"):
+            hwsim.HwProfile.from_dict(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["rows"].pop(),
+        lambda doc: doc["candidates"].append(32),
+        lambda doc: doc["candidates"].remove(8),
+        lambda doc: doc["rows"][0].update(bits=32),
+    ], ids=["missing_row", "extra_candidate", "missing_candidate", "row_off_candidates"])
+    def test_rejects_rows_other_than_layers_times_candidates(self, edit):
+        doc = hwsim.profile_model(zoo.tiny_cnn(0), (4, 8)).to_dict()
+        edit(doc)
+        with pytest.raises(ConfigError, match="every layer at each of the candidates"):
             hwsim.HwProfile.from_dict(doc)
 
     def test_rejects_foreign_document(self):

@@ -117,8 +117,6 @@ class TestBitConfig:
         cfg = quant.BitConfig.uniform(3, 4)
         assert cfg.weight_bits == [4, 4, 4]
         assert cfg.activation_bits == [4, 4, 4]
-        cfg = quant.BitConfig.uniform(2, 4, activation_bits=8)
-        assert cfg.activation_bits == [8, 8]
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ConfigError):
