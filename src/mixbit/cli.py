@@ -40,6 +40,7 @@ from .errors import (
     NumericFailureError,
     ShapeMismatchError,
     UnsupportedLayerError,
+    checked,
 )
 from .hwsim import HwConfig, HwProfile, profile_model
 from .planner import BIT_HIGH, BIT_LOW, PlannerConfig, PlanResult, blend_scores, plan_pipeline
@@ -87,8 +88,8 @@ class SenseConfig:
             raise ConfigError(f"sensitivity.method must be 'mqe' or 'naive', got {self.method!r}")
         if self.base_bits not in (4, 8):
             raise ConfigError(f"sensitivity.base_bits must be 4 or 8, got {self.base_bits}")
-        if self.naive_bits not in (4, 8, 32):
-            raise ConfigError(f"sensitivity.naive_bits must be 4, 8, or 32, got {self.naive_bits}")
+        if self.naive_bits not in quant.BIT_CHOICES:
+            raise ConfigError(f"sensitivity.naive_bits must be one of {list(quant.BIT_CHOICES)}, got {self.naive_bits}")
 
 
 @dataclass(frozen=True)
@@ -150,22 +151,6 @@ _FLAGS = {
     "bits_activations": ("planner.activation_bits", None),
 }
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _typed(value, hint, where: str):
-    """value checked against a field's JSON type; ints widen to float fields."""
-    kinds = typing.get_args(hint) or (hint,)
-    if value is None and type(None) in kinds:
-        return None
-    kind = kinds[0]
-    if kind is float and type(value) is int:
-        return float(value)
-    if type(value) is not kind:
-        raise ConfigError(f"{where}: expected {_JSON_TYPES[kind]}, got {json.dumps(value)}")
-    return value
-
-
 def _build(cls, doc, path: str, defaults: dict):
     """Instantiate dataclass cls from the JSON object doc.
 
@@ -184,7 +169,7 @@ def _build(cls, doc, path: str, defaults: dict):
         if dataclasses.is_dataclass(hints[name]):
             kwargs[name] = _build(hints[name], doc.get(name, {}), f"{path}{name}.", defaults.get(name, {}))
         elif name in doc:
-            kwargs[name] = _typed(doc[name], hints[name], f"{path}{name}")
+            kwargs[name] = checked(doc[name], hints[name], f"{path}{name}")
         elif name in defaults:
             kwargs[name] = defaults[name]
     return cls(**kwargs)

@@ -86,10 +86,11 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
 
     history = []
     bad_streak = 0
-    for _ in range(config.steps):
+    for step in range(1, config.steps + 1):
         x = x - lr * grad
-        # one pass gives this step's loss and the next step's gradient
-        trace, grad = m._stat_loss_and_gradient(model, x, targets)
+        # one pass gives this step's loss and the next step's gradient, which
+        # the last step does not need
+        trace, grad = m._stat_loss_and_gradient(model, x, targets, backward=step < config.steps)
         cur = bn_stat_loss(trace, model, targets)
         history.append(cur)
         if cur > threshold:

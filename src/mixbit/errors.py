@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the JSON type check that raises ConfigError.
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 infeasible hardware or size limits exit 3, numeric failures exit 4.
 """
+
+import json
+import typing
 
 
 class MixbitError(Exception):
@@ -43,3 +46,23 @@ class InfeasibleHardwareError(MixbitError):
 
 class InfeasiblePlanError(MixbitError):
     """Size limit below the smallest achievable model size."""
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+
+
+def checked(value, hint, where: str):
+    """value if its JSON type matches the type hint, else ConfigError naming `where`.
+
+    hint is int, float, str or list, optionally `| None`. bool is not an int,
+    and an int widens to float where a float is expected.
+    """
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{where}: expected {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value

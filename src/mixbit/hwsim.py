@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model as m
-from .errors import ConfigError, InfeasibleHardwareError, UnsupportedLayerError
+from . import quant
+from .errors import ConfigError, InfeasibleHardwareError, UnsupportedLayerError, checked
 
 PROFILE_FORMAT = "mixbit-profile"
 
@@ -168,8 +169,7 @@ def _tree_latency(k_tile: int, lanes: int, config: HwConfig) -> int:
     return depth + config.mac_init_latency
 
 
-def matmul_cycles(rows: int, inner: int, cols: int, tile: int, config: HwConfig,
-                  lanes: int | None = None) -> int:
+def matmul_cycles(rows: int, inner: int, cols: int, tile: int, config: HwConfig, lanes: int) -> int:
     """Compute cycles for a (rows x inner) @ (inner x cols) tiled matmul.
 
     Every T x T output tile needs T^2 dot products over a length-T slice;
@@ -178,7 +178,6 @@ def matmul_cycles(rows: int, inner: int, cols: int, tile: int, config: HwConfig,
     """
     if min(rows, inner, cols, tile) < 1:
         raise ConfigError("matrix dimensions and tile must be positive")
-    lanes = config.lanes if lanes is None else lanes
     grid = -(-rows // tile) * -(-inner // tile) * -(-cols // tile)
     feeds = -(-tile // lanes)
     per_pair = tile * tile * feeds + _tree_latency(tile, lanes, config)
@@ -222,25 +221,23 @@ def _matmul_dims(layer, in_shape: tuple) -> tuple:
 
 
 def layer_cost(layer, in_shape: tuple, out_shape: tuple, weight_bits: int, act_bits: int,
-               config: HwConfig, l_max: int | None = None) -> LayerCost:
+               config: HwConfig, l_max: int) -> LayerCost:
     """Cost one weighted (conv or linear) layer at the given weight/activation bit-widths.
 
     The layer runs as a tiled matmul whose tile side comes from the smallest
     edge of the unfolded matrices, snapped by the tile-side rule within
-    [min_tile_side(l_max), l_max] where l_max defaults to the buffer-sizing
-    result for `config`. Transfer and write-back move the elements that
+    [min_tile_side(l_max), l_max], l_max being the buffer-sizing result
+    (bram_allocate) for `config`. Transfer and write-back move the elements that
     blocked_transfer_elements counts, one third per operand stream: weight
     and feature tiles in, result tiles out. post_process covers the layer's
     BatchNorm, activation and requantization, one pass per output element.
     Any other layer raises UnsupportedLayerError.
     """
     rows, inner, cols = _matmul_dims(layer, in_shape)
-    if l_max is None:
-        l_max = bram_allocate(config).l_max
     tile = tile_side(min(rows, inner, cols), l_max, min_tile_side(l_max))
 
     lanes = effective_lanes(config, weight_bits, act_bits)
-    compute = matmul_cycles(rows, inner, cols, tile, config, lanes=lanes)
+    compute = matmul_cycles(rows, inner, cols, tile, config, lanes)
     per_stream = blocked_transfer_elements(rows, inner, cols, tile) // 3
     transfer = _ceil_div(per_stream * (weight_bits + act_bits), 8 * config.transfer_bandwidth)
     write_back = _ceil_div(per_stream * act_bits, 8 * config.transfer_bandwidth)
@@ -326,18 +323,18 @@ class HwProfile:
         if d.get("format") != PROFILE_FORMAT:
             raise ConfigError("not a profile document")
         rows = []
-        for r in d["rows"]:
-            cost = LayerCost(
-                compute=int(r["compute"]),
-                transfer=int(r["transfer"]),
-                write_back=int(r["write_back"]),
-                post_process=int(r["post_process"]),
-                energy=float(r["energy"]),
-                tile=int(r["tile"]),
-                dims=tuple(r["dims"]),
-            )
-            rows.append(ProfileRow(int(r["layer_index"]), r["kind"], int(r["bits"]),
-                                   int(r["weight_elems"]), cost))
+        for pos, r in enumerate(d["rows"]):
+            def field(key, hint=int):
+                return checked(r[key], hint, f"rows[{pos}].{key}")
+
+            cost = LayerCost(*(field(k) for k in ("compute", "transfer", "write_back", "post_process")),
+                             energy=field("energy", float), tile=field("tile"),
+                             dims=tuple(checked(v, int, f"rows[{pos}].dims") for v in field("dims", list)))
+            if field("total_cycles") != cost.total_cycles:
+                raise ConfigError(f"rows[{pos}].total_cycles: {r['total_cycles']} is not the sum of "
+                                  f"its four steps, {cost.total_cycles}")
+            rows.append(ProfileRow(field("layer_index"), field("kind", str), field("bits"),
+                                   field("weight_elems"), cost))
         return cls(
             config=HwConfig(**d["config"]),
             bram=BramAllocation(**d["bram"]),
@@ -365,7 +362,7 @@ def profile_model(model: m.ModelGraph, candidates, config: HwConfig = HwConfig()
     m.validate_model(model)
     candidates = tuple(int(b) for b in candidates)
     for b in candidates:
-        if b not in (4, 8, 32):
+        if b not in quant.BIT_CHOICES:
             raise ConfigError(f"unsupported profile bit-width {b}")
     bram = bram_allocate(config)
     shapes = m.infer_shapes(model)
@@ -374,6 +371,6 @@ def profile_model(model: m.ModelGraph, candidates, config: HwConfig = HwConfig()
         layer = model.layers[idx]
         in_shape = tuple(model.input_shape) if idx == 0 else shapes[idx - 1]
         for bits in candidates:
-            cost = layer_cost(layer, in_shape, shapes[idx], bits, bits, config, l_max=bram.l_max)
+            cost = layer_cost(layer, in_shape, shapes[idx], bits, bits, config, bram.l_max)
             rows.append(ProfileRow(idx, layer.kind, bits, int(layer.weight.size), cost))
     return HwProfile(config=config, bram=bram, candidates=candidates, rows=rows)

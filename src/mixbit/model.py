@@ -1,10 +1,15 @@
 """Dense-tensor inference for small CNNs.
 
-Feature maps are float32 numpy arrays in NCHW order; conv kernels are laid
-out (out_c, in_c, k_h, k_w). Real arithmetic is float32 throughout the
-engine, with batch statistics accumulated in float64. The only backward pass
-implemented is the gradient with respect to the input batch, which is all
-the calibration-data synthesizer needs; weights are never updated.
+Feature maps are float32 numpy arrays of NCHW shape; conv kernels are laid
+out (out_c, in_c, k_h, k_w). A conv writes its output in NHWC memory and
+returns the NCHW-shaped transpose of it: elementwise numpy ops keep their
+input's memory order, so the layers after it work on NHWC memory unchanged,
+while the input batch, every recorded activation and the flatten before a
+linear layer stay NCHW to their readers. Real arithmetic is float32
+throughout the engine, with batch statistics accumulated in float64. The
+only backward pass implemented is the gradient with respect to the input
+batch, which is all the calibration-data synthesizer needs; weights are
+never updated.
 
 Models serialize to a JSON manifest plus a sidecar blob of little-endian
 float32 values, concatenated in layer declaration order, so a save/load
@@ -31,11 +36,12 @@ from .errors import (
 MODEL_FORMAT = "mixbit-model"
 MODEL_FORMAT_VERSION = 1
 
-# Samples per block: the conv kernels copy im2col columns for this many
-# samples at a time, and evaluation runs its dataset in chunks of this size,
-# so their working memory does not grow with the batch. The conv blocks bound
-# batches larger than the eval chunks: the 64-sample probe that freezes
-# BatchNorm statistics, and a distill.batch_size above 32.
+# Samples per block: the conv kernels copy NHWC window rows (and the input
+# gradient's scatter its column gradients) for this many samples at a time,
+# and evaluation runs its dataset in chunks of this size, so their working
+# memory does not grow with the batch. The conv blocks bound batches larger
+# than the eval chunks: the 64-sample probe that freezes BatchNorm
+# statistics, and a distill.batch_size above 32.
 BLOCK = 32
 
 
@@ -258,40 +264,43 @@ def validate_model(model: ModelGraph) -> None:
 # forward
 
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+def _kernel_rows(weight: np.ndarray) -> np.ndarray:
+    """A conv kernel (O, C, kh, kw) as the (kh*kw*C, O) matrix that multiplies NHWC window rows."""
+    return weight.transpose(2, 3, 1, 0).reshape(-1, weight.shape[0])
 
 
-def _im2col_batch(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Window view of a padded batch, reshaped to (N, C*kh*kw, oh*ow)."""
-    n, c, h, w = xp.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sn, sc, sh, sw = xp.strides
-    win = as_strided(xp, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, sh * stride, sw * stride))
-    return win.reshape(n, c * kh * kw, oh * ow)
+def _window_gemm(x_nhwc: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int, pad: tuple,
+                 oh: int, ow: int) -> np.ndarray:
+    """Correlate the kh x kw windows of an NHWC batch with wmat, giving (n, oh, ow, O).
+
+    Each block of BLOCK samples is written into the interior of one zeroed
+    buffer padded by pad = (rows, columns), and its window view is copied to
+    (nb, oh*ow, kh*kw*C) rows. np.matmul then runs one GEMM per sample, the
+    same call whatever the batch size, so the output does not depend on how
+    a batch is split into blocks (one GEMM over a block's rows would not be).
+    """
+    n, h, w, c = x_nhwc.shape
+    ph, pw = pad
+    out = np.empty((n, oh * ow, wmat.shape[1]), dtype=np.result_type(x_nhwc, wmat))
+    buf = np.zeros((min(n, BLOCK), h + 2 * ph, w + 2 * pw, c), dtype=x_nhwc.dtype)
+    sb, sh, sw, sc = buf.strides
+    for lo in range(0, n, BLOCK):
+        nb = min(BLOCK, n - lo)
+        buf[:nb, ph:ph + h, pw:pw + w] = x_nhwc[lo:lo + nb]
+        win = as_strided(buf, (nb, oh, ow, kh, kw, c), (sb, sh * stride, sw * stride, sh, sw, sc))
+        np.matmul(win.reshape(nb, oh * ow, kh * kw * c), wmat, out=out[lo:lo + nb])
+    return out.reshape(n, oh, ow, -1)
 
 
 def _conv_forward(layer: Conv2d, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Convolution as one GEMM per sample, BLOCK samples' im2col copies at a time.
-
-    Each sample's GEMM is the same call whatever the batch size, so the
-    output does not depend on how a batch is split into blocks.
-    """
-    n = x.shape[0]
+    """Convolution by _window_gemm; the result has NCHW shape over NHWC memory."""
     oh, ow = _conv_out_hw(x.shape[2], x.shape[3], layer)
-    wmat = weight.reshape(layer.out_channels, -1)
-    out = np.empty((n, layer.out_channels, oh * ow), dtype=np.result_type(wmat, x))
-    for lo in range(0, n, BLOCK):
-        cols = _im2col_batch(_pad2d(x[lo:lo + BLOCK], layer.padding), layer.kernel_h, layer.kernel_w,
-                             layer.stride)
-        np.matmul(wmat, cols, out=out[lo:lo + BLOCK])
-    out = out.reshape(n, layer.out_channels, oh, ow)
+    p = layer.padding
+    out = _window_gemm(x.transpose(0, 2, 3, 1), _kernel_rows(weight), layer.kernel_h, layer.kernel_w,
+                       layer.stride, (p, p), oh, ow)
     if layer.bias is not None:
-        out += layer.bias[None, :, None, None]
-    return out
+        out += layer.bias
+    return out.transpose(0, 3, 1, 2)
 
 
 def _linear_forward(layer: Linear, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -427,38 +436,47 @@ def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
 # input gradient
 
 
-def _col2im_add(cols: np.ndarray, out: np.ndarray, kh: int, kw: int, stride: int) -> None:
-    """Scatter-add column gradients onto the padded input gradient `out`, in place."""
-    n, c, hp, wp = out.shape
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += cols6[:, :, i, j]
-
-
 def _conv_backward_input(layer: Conv2d, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Input gradient, BLOCK samples' column gradients at a time (see _conv_forward)."""
-    n = x.shape[0]
-    p = layer.padding
-    gpad = np.zeros((n, layer.in_channels, x.shape[2] + 2 * p, x.shape[3] + 2 * p), dtype=np.float32)
-    wmat_t = layer.weight.reshape(layer.out_channels, -1).T
-    gmat = grad_out.reshape(n, layer.out_channels, -1)
+    """Input gradient of a conv, NCHW shape over NHWC memory (see _conv_forward).
+
+    At stride 1 with padding below the kernel it is the conv of grad_out with
+    the flipped, transposed kernel and padding k - 1 - p on each axis. Other
+    geometries scatter each sample's window-row gradients back, one strided
+    add per kernel tap.
+    """
+    n, c, h, w = x.shape
+    kh, kw, s, p = layer.kernel_h, layer.kernel_w, layer.stride, layer.padding
+    g = grad_out.transpose(0, 2, 3, 1)
+    if s == 1 and p < min(kh, kw):
+        flipped = layer.weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+        return _window_gemm(g, flipped, kh, kw, 1, (kh - 1 - p, kw - 1 - p), h, w).transpose(0, 3, 1, 2)
+    _, oh, ow, o = g.shape
+    rows = g.reshape(n, oh * ow, o)
+    wmat_t = _kernel_rows(layer.weight).T
+    gpad = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=np.float32)
     for lo in range(0, n, BLOCK):
-        _col2im_add(np.matmul(wmat_t, gmat[lo:lo + BLOCK]), gpad[lo:lo + BLOCK],
-                    layer.kernel_h, layer.kernel_w, layer.stride)
-    if p == 0:
-        return gpad
-    return gpad[:, :, p:-p, p:-p]
+        cols = np.matmul(rows[lo:lo + BLOCK], wmat_t).reshape(-1, oh, ow, kh, kw, c)
+        for i in range(kh):
+            for j in range(kw):
+                gpad[lo:lo + BLOCK, i:i + oh * s:s, j:j + ow * s:s] += cols[:, :, :, i, j]
+    return gpad[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
 
 
 def _avgpool_backward(layer: AvgPool, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    k = layer.window
+    k, s = layer.window, layer.stride
     n, c, oh, ow = grad_out.shape
     gx = np.zeros_like(x)
     g = grad_out * np.float32(1.0 / (k * k))
-    _col2im_add(np.broadcast_to(g[:, :, None, None], (n, c, k, k, oh, ow)), gx, k, k, layer.stride)
+    if k == s:
+        # each input cell lies in one window at most: write g there, with + 0 turning
+        # -0.0 into +0.0 as a scatter's 0 + g does; cells no window covers stay 0
+        sn, sc, sh, sw = gx.strides
+        as_strided(gx, (n, c, oh, k, ow, k), (sn, sc, sh * k, sh, sw * k, sw))[...] = \
+            g[:, :, :, None, :, None] + np.float32(0)
+        return gx
+    for i in range(k):
+        for j in range(k):
+            gx[:, :, i:i + oh * s:s, j:j + ow * s:s] += g
     return gx
 
 
@@ -478,8 +496,8 @@ def _backward_input(layer, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     raise UnsupportedLayerError(f"no backward rule for {type(layer).__name__}")
 
 
-def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
-                            targets: dict) -> tuple[ForwardTrace, np.ndarray]:
+def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
+                            backward: bool = True) -> tuple[ForwardTrace, np.ndarray | None]:
     """BatchNorm input statistics at `batch` and the statistic loss's gradient with respect to `batch`.
 
     The loss, distill.bn_stat_loss of the returned trace, is the sum over the
@@ -488,11 +506,18 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
     statistics are those a recorded forward pass gives, bit for bit. The
     model must be validated and `targets` non-empty; the batch is checked
     here. Only the layers before the last target BatchNorm run, forward and
-    backward, including residual branches.
+    backward, including residual branches. With backward=False only the
+    forward part runs and the gradient is None.
     """
     batch = _check_batch(model, batch)
     last = max(targets)
     acts = run_layers(ModelGraph(model.layers[:last], model.input_shape, model.class_count), batch)
+    means, stds = {}, {}
+    for i in targets:
+        means[i], stds[i] = _channel_stats(acts[i])
+    trace = ForwardTrace([], means, stds)
+    if not backward:
+        return trace, None
     # grads[i] is the loss gradient at acts[i], None until a term reaches it;
     # a first term is stored as is, which equals 0 + term except that a -0.0
     # entry keeps its sign
@@ -502,11 +527,8 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
         grads[i] = g if grads[i] is None else grads[i] + g
 
     # direct statistic terms at each BN input
-    means, stds = {}, {}
     for i, (u, sig) in targets.items():
-        x = acts[i]
-        m, s = _channel_stats(x)
-        means[i], stds[i] = m, s
+        x, m, s = acts[i], means[i], stds[i]
         du, dsig = m - u, s - sig
         nhw = x.shape[0] * x.shape[2] * x.shape[3]
         dm = 2.0 * du / nhw
@@ -527,7 +549,7 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray,
         acts[i + 1] = grads[i + 1] = None
     if not np.isfinite(grads[0]).all():
         raise NumericFailureError("non-finite input gradient", layer_index=None)
-    return ForwardTrace([], means, stds), grads[0]
+    return trace, grads[0]
 
 
 def input_gradient(model: ModelGraph, batch: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model as m
 from . import quant
-from .errors import ConfigError
+from .errors import ConfigError, checked
 
 KL_EPS = 1e-12
 
@@ -110,12 +110,13 @@ class SensitivityReport:
     @classmethod
     def from_dict(cls, d: dict) -> "SensitivityReport":
         return cls(
-            omega=np.asarray(d["omega"], dtype=np.float64),
-            batch_size=int(d["batch_size"]),
-            alpha=d["alpha"],
-            seed=d["seed"],
-            method=d["method"],
-            bits=int(d["bits"]),
+            omega=np.asarray([checked(v, float, "omega") for v in checked(d["omega"], list, "omega")],
+                             dtype=np.float64),
+            batch_size=checked(d["batch_size"], int, "batch_size"),
+            alpha=checked(d["alpha"], float | None, "alpha"),
+            seed=checked(d["seed"], int | None, "seed"),
+            method=checked(d["method"], str, "method"),
+            bits=checked(d["bits"], int, "bits"),
         )
 
 

@@ -2,17 +2,23 @@
 
 The conv kernels work m.BLOCK samples at a time and eval runs its dataset in
 chunks of that size. Both must give the bytes an unsplit computation gives,
-and eval's working memory must not grow with the number of eval samples.
+whatever the BLAS thread count, and eval's working memory must not grow with
+the number of eval samples.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import mixbit
 from mixbit import cli, quant, zoo
 from mixbit import model as m
 
@@ -49,37 +55,55 @@ def _same_bits(a, b):
 # conv kernels: blocks against a per-sample reference
 
 
-def _sample_cols(layer, xi):
-    """(C*kh*kw, oh*ow) im2col of one padded sample, built independently of the package."""
-    p, s = layer.padding, layer.stride
-    xp = np.pad(xi, ((0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (layer.kernel_h, layer.kernel_w), axis=(1, 2))[:, ::s, ::s]
-    c, oh, ow = win.shape[:3]
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * layer.kernel_h * layer.kernel_w, oh * ow), (oh, ow)
+def _window_rows(xi, kh, kw, stride, ph, pw):
+    """(oh*ow, kh*kw*C) window rows of one padded HWC sample, built independently of the package."""
+    xp = np.pad(xi, ((ph, ph), (pw, pw), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(0, 1))[::stride, ::stride]  # (oh, ow, C, kh, kw)
+    oh, ow, c = win.shape[:3]
+    return win.transpose(0, 1, 3, 4, 2).reshape(oh * ow, kh * kw * c), (oh, ow)
 
 
 def _reference_forward(layer, x):
-    wmat = layer.weight.reshape(layer.out_channels, -1)
+    """One (oh*ow, kh*kw*C) @ (kh*kw*C, O) GEMM per sample, in NCHW."""
+    kh, kw, p = layer.kernel_h, layer.kernel_w, layer.padding
+    wmat = layer.weight.transpose(2, 3, 1, 0).reshape(kh * kw * layer.in_channels, layer.out_channels)
     outs = []
     for xi in x:
-        cols, (oh, ow) = _sample_cols(layer, xi)
-        outs.append((wmat @ cols + layer.bias[:, None]).reshape(layer.out_channels, oh, ow))
+        rows, (oh, ow) = _window_rows(xi.transpose(1, 2, 0), kh, kw, layer.stride, p, p)
+        outs.append((rows @ wmat + layer.bias).reshape(oh, ow, layer.out_channels).transpose(2, 0, 1))
     return np.stack(outs)
 
 
 def _reference_backward(layer, x, grad_out):
+    """Per sample: at stride 1 with padding below the kernel, the GEMM of grad_out's window rows with
+    the flipped kernel; otherwise grad_out's rows times the kernel matrix, scattered tap by tap."""
     p, s, kh, kw = layer.padding, layer.stride, layer.kernel_h, layer.kernel_w
-    wmat_t = layer.weight.reshape(layer.out_channels, -1).T
+    c, o = layer.in_channels, layer.out_channels
     grads = []
     for xi, gi in zip(x, grad_out):
-        oh, ow = gi.shape[1:]
-        cols = (wmat_t @ gi.reshape(layer.out_channels, -1)).reshape(layer.in_channels, kh, kw, oh, ow)
-        gpad = np.zeros((layer.in_channels, xi.shape[1] + 2 * p, xi.shape[2] + 2 * p), dtype=np.float32)
+        h, w = xi.shape[1:]
+        ghwc = gi.transpose(1, 2, 0)
+        if s == 1 and p < min(kh, kw):
+            flipped = layer.weight[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+            rows, _ = _window_rows(ghwc, kh, kw, 1, kh - 1 - p, kw - 1 - p)
+            grads.append((rows @ flipped).reshape(h, w, c).transpose(2, 0, 1))
+            continue
+        oh, ow = ghwc.shape[:2]
+        wmat_t = layer.weight.transpose(2, 3, 1, 0).reshape(kh * kw * c, o).T
+        cols = (ghwc.reshape(oh * ow, o) @ wmat_t).reshape(oh, ow, kh, kw, c)
+        gpad = np.zeros((h + 2 * p, w + 2 * p, c), dtype=np.float32)
         for i in range(kh):
             for j in range(kw):
-                gpad[:, i:i + oh * s:s, j:j + ow * s:s] += cols[:, i, j]
-        grads.append(gpad[:, p:gpad.shape[1] - p, p:gpad.shape[2] - p])
+                gpad[i:i + oh * s:s, j:j + ow * s:s] += cols[:, :, i, j]
+        grads.append(gpad[p:p + h, p:p + w].transpose(2, 0, 1))
     return np.stack(grads)
+
+
+def _check_conv_against_reference(layer, x, rng):
+    y = m._conv_forward(layer, x, layer.weight)
+    assert _same_bits(y, _reference_forward(layer, x))
+    grad_out = rng.standard_normal(y.shape, dtype=np.float32)
+    assert _same_bits(m._conv_backward_input(layer, x, grad_out), _reference_backward(layer, x, grad_out))
 
 
 @pytest.mark.parametrize("padding", [0, 1])
@@ -88,11 +112,55 @@ def _reference_backward(layer, x, grad_out):
 def test_conv_blocks_match_per_sample_reference(n, stride, padding):
     rng = np.random.default_rng(100 * n + 10 * stride + padding)
     layer = zoo._conv(rng, 3, 5, 3, stride=stride, padding=padding)
-    x = rng.standard_normal((n, 3, 9, 9), dtype=np.float32)
-    y = m._conv_forward(layer, x, layer.weight)
-    assert _same_bits(y, _reference_forward(layer, x))
-    grad_out = rng.standard_normal(y.shape, dtype=np.float32)
-    assert _same_bits(m._conv_backward_input(layer, x, grad_out), _reference_backward(layer, x, grad_out))
+    _check_conv_against_reference(layer, rng.standard_normal((n, 3, 9, 9), dtype=np.float32), rng)
+
+
+# (kernel_h, kernel_w, stride, padding): non-square kernels, and padding at or above the kernel
+_GEOMETRIES = [(3, 2, 1, 1), (2, 3, 1, 0), (1, 3, 1, 0), (3, 2, 2, 1), (1, 1, 1, 1), (2, 2, 1, 3), (3, 3, 2, 3)]
+
+
+def _conv_layer(rng, kh, kw, stride, padding, in_c=3, out_c=5):
+    weight = rng.standard_normal((out_c, in_c, kh, kw), dtype=np.float32)
+    bias = rng.standard_normal(out_c, dtype=np.float32)
+    return m.Conv2d(in_c, out_c, kh, kw, stride=stride, padding=padding, weight=weight, bias=bias)
+
+
+@pytest.mark.parametrize("kh,kw,stride,padding", _GEOMETRIES)
+@pytest.mark.parametrize("n", [1, 33])
+def test_conv_geometries_match_per_sample_reference(n, kh, kw, stride, padding):
+    rng = np.random.default_rng([n, kh, kw, stride, padding])
+    layer = _conv_layer(rng, kh, kw, stride, padding)
+    _check_conv_against_reference(layer, rng.standard_normal((n, 3, 7, 8), dtype=np.float32), rng)
+
+
+@pytest.mark.parametrize("kh,kw,stride,padding", [(3, 3, 1, 0), (3, 3, 1, 1), (3, 3, 1, 2), *_GEOMETRIES])
+def test_conv_input_gradient_equals_the_scatter(kh, kw, stride, padding):
+    # small integers keep every sum exact whatever its order, so the flipped-kernel
+    # conv and the scatter of the definition must agree exactly
+    rng = np.random.default_rng([kh, kw, stride, padding])
+    layer = _conv_layer(rng, kh, kw, stride, padding, in_c=4, out_c=6)
+    layer.weight = rng.integers(-3, 4, layer.weight.shape).astype(np.float32)
+    x = np.zeros((3, 4, 7, 8), dtype=np.float32)
+    grad_out = rng.integers(-3, 4, m._conv_forward(layer, x, layer.weight).shape).astype(np.float32)
+    _, _, oh, ow = grad_out.shape
+    gpad = np.zeros((3, 4, 7 + 2 * padding, 8 + 2 * padding), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            # tap (i, j) of every output cell reads input cell (stride * y + i, stride * x + j)
+            gpad[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
+                np.einsum("nohw,oc->nchw", grad_out, layer.weight[:, :, i, j])
+    want = gpad[:, :, padding:padding + 7, padding:padding + 8]
+    assert np.array_equal(m._conv_backward_input(layer, x, grad_out), want)
+
+
+def test_pool_backward_writes_positive_zero():
+    layer = m.AvgPool(2, 2)
+    x = np.ones((1, 2, 5, 5), dtype=np.float32)  # the last row and column lie in no window
+    grad_out = np.array([-0.0, 0.0, -1.0, 2.0] * 2, dtype=np.float32).reshape(1, 2, 2, 2)
+    gx = m._avgpool_backward(layer, x, grad_out)
+    want = np.repeat(np.repeat(grad_out * np.float32(0.25), 2, axis=2), 2, axis=3)
+    assert np.array_equal(gx[:, :, :4, :4], want) and not gx[:, :, 4:].any() and not gx[:, :, :, 4:].any()
+    assert not np.signbit(gx[:, :, :4, :4][want == 0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -170,3 +238,20 @@ def test_eval_peak_memory_does_not_grow_with_samples(tmp_path):
     # 1024 samples would hold 12.6 MB of inputs alone; the kept predictions and
     # labels add about 100 bytes a sample
     assert peaks[1024] < peaks[64] + 256 * 1024, peaks
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+def test_canonical_hash_does_not_depend_on_blas_threads(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(Path(mixbit.__file__).parent.parent), MIXBIT_LOG="WARNING")
+    hashes = []
+    for threads in (None, "1"):
+        out = tmp_path / f"threads_{threads}"
+        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "mixbit.cli", "pipeline", "--out", str(out), "--seed", "0"],
+                       env=run_env, check=True, stdout=subprocess.DEVNULL)
+        hashes.append(json.loads((out / cli.ART_REPORT_JSON).read_text())["meta"]["canonical_sha256"])
+    assert hashes[0] == hashes[1]

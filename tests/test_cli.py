@@ -479,6 +479,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "profile.json" in err and "rerun `mixbit profile`" in err
 
+    @pytest.mark.parametrize("artifact, edit, message", [
+        (cli.ART_SENSITIVITY, lambda d: d.update(omega=[str(v) for v in d["omega"]]), "omega: expected a number"),
+        (cli.ART_PROFILE_JSON, lambda d: d["rows"][0].update(compute=d["rows"][0]["compute"] + 0.9),
+         "rows[0].compute: expected an integer"),
+        (cli.ART_PROFILE_JSON, lambda d: d["rows"][0].update(total_cycles=d["rows"][0]["total_cycles"] + 1),
+         "rows[0].total_cycles"),
+    ], ids=["string_omega", "fractional_compute", "total_cycles_off_its_sum"])
+    def test_artifact_field_of_the_wrong_type_exits_2(self, light_config, pipeline_run, tmp_path, capsys,
+                                                       artifact, edit, message):
+        # the readers check each field instead of coercing it with int() or np.asarray
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / artifact).read_text())
+        edit(doc)
+        (out / artifact).write_text(json.dumps(doc))
+        assert cli.main(["plan", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert artifact in err and message in err
+
     def test_bad_config_value_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"planner": {"ratio": 2.5}}))

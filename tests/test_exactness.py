@@ -57,6 +57,40 @@ def test_distill_history_matches_two_pass_reference(name):
     assert _same_bits(batch.data, x_ref)
 
 
+def _gradient_every_step_descent(net, config):
+    """synthesize's descent with the fused pass computing a gradient after every step, the last included."""
+    targets = m.bn_targets(net)
+    x = _batch(net, config.batch_size, config.seed)
+    lr = np.float32(config.learning_rate)
+    _, grad = m._stat_loss_and_gradient(net, x, targets)
+    history = []
+    for _ in range(config.steps):
+        x = x - lr * grad
+        trace, grad = m._stat_loss_and_gradient(net, x, targets)
+        history.append(bn_stat_loss(trace, net, targets))
+    return x, history
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_last_distill_pass_is_forward_only(name, monkeypatch):
+    net = NETS[name](0)
+    config = DistillConfig(batch_size=8, steps=5, learning_rate=0.5, seed=3)
+    x_ref, history_ref = _gradient_every_step_descent(net, config)
+    fused = m._stat_loss_and_gradient
+    gradients = []
+
+    def spy(*args, **kwargs):
+        trace, grad = fused(*args, **kwargs)
+        gradients.append(grad is not None)
+        return trace, grad
+
+    monkeypatch.setattr(m, "_stat_loss_and_gradient", spy)
+    batch = synthesize(net, config)
+    assert gradients == [True] * config.steps + [False]
+    assert batch.loss_history == history_ref
+    assert _same_bits(batch.data, x_ref)  # the bytes of distilled.bin
+
+
 def test_fused_loss_matches_recorded_forward():
     net = zoo.toy_cnn(1)
     x = _batch(net, 6, 7)

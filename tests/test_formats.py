@@ -32,7 +32,7 @@ class TestPinnedBytes:
         assert _sha256(path.read_bytes()) == \
             "396ec0c5726cedb78ff54df509b5f63b2195477fdd60c56a67d3df750f85535a"
         assert _sha256(m.blob_path_for(path).read_bytes()) == \
-            "eb81eb60ca1485426accbaa39117ed246b6a868dbb05012c3d358f52800b916f"
+            "c48b666b366abd16e085cf34ed126857fda043df82847cf41110f1ee237dd467"
 
     def test_profile_json_and_csv(self, tmp_path):
         prof = hwsim.profile_model(zoo.toy_cnn(0), (4, 8, 32))

@@ -9,6 +9,9 @@ import pytest
 from mixbit import hwsim, model as m, zoo
 from mixbit.errors import ConfigError, InfeasibleHardwareError, UnsupportedLayerError
 
+# the tile ceiling of the default device's buffers
+L_MAX = hwsim.bram_allocate(hwsim.HwConfig()).l_max
+
 
 class TestHwConfig:
     def test_defaults_valid(self):
@@ -120,10 +123,10 @@ class TestMatmulCycles:
     def test_hand_fixture(self):
         cfg = hwsim.HwConfig()
         # grid 2; per tile pair 32*32 tree feeds + depth 5 + init 4
-        assert hwsim.matmul_cycles(16, 27, 64, 32, cfg) == 2 * (1024 + 5 + 4)
+        assert hwsim.matmul_cycles(16, 27, 64, 32, cfg, cfg.lanes) == 2 * (1024 + 5 + 4)
 
     def test_smallest_case(self):
-        assert hwsim.matmul_cycles(1, 1, 1, 1, hwsim.HwConfig()) == 1 + 0 + 4
+        assert hwsim.matmul_cycles(1, 1, 1, 1, hwsim.HwConfig(), 128) == 1 + 0 + 4
 
     def test_scripted_formula(self):
         cfg = hwsim.HwConfig()
@@ -135,21 +138,21 @@ class TestMatmulCycles:
             grid = math.ceil(rows / tile) * math.ceil(inner / tile) * math.ceil(cols / tile)
             depth = (min(tile, lanes) - 1).bit_length()
             want = grid * (tile * tile * math.ceil(tile / lanes) + depth + cfg.mac_init_latency)
-            got = hwsim.matmul_cycles(int(rows), int(inner), int(cols), tile, cfg, lanes=lanes)
+            got = hwsim.matmul_cycles(int(rows), int(inner), int(cols), tile, cfg, lanes)
             assert got == want
 
     def test_more_lanes_never_slower(self):
         cfg = hwsim.HwConfig()
         prev = None
         for lanes in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-            c = hwsim.matmul_cycles(64, 64, 64, 16, cfg, lanes=lanes)
+            c = hwsim.matmul_cycles(64, 64, 64, 16, cfg, lanes)
             if prev is not None:
                 assert c <= prev
             prev = c
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
-            hwsim.matmul_cycles(0, 4, 4, 2, hwsim.HwConfig())
+            hwsim.matmul_cycles(0, 4, 4, 2, hwsim.HwConfig(), 128)
 
 
 class TestEffectiveLanes:
@@ -168,7 +171,7 @@ class TestLayerCost:
     def test_conv_fixture_full_decomposition(self):
         # toy pipeline's first conv: dims (8, 27, 64), tile 8, grid 1*4*8=32
         net = zoo.toy_cnn(0)
-        cost = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 4, 8, hwsim.HwConfig())
+        cost = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 4, 8, hwsim.HwConfig(), L_MAX)
         assert cost.dims == (8, 27, 64)
         assert cost.tile == 8
         assert cost.compute == 32 * (64 + 3 + 4)
@@ -182,8 +185,8 @@ class TestLayerCost:
     def test_narrow_weights_cut_transfer_only_here(self):
         net = zoo.toy_cnn(0)
         cfg = hwsim.HwConfig()
-        c4 = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 4, 8, cfg)
-        c8 = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 8, 8, cfg)
+        c4 = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 4, 8, cfg, L_MAX)
+        c8 = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 8, 8, cfg, L_MAX)
         assert c4.transfer < c8.transfer
         assert c4.compute <= c8.compute
         assert c4.write_back == c8.write_back
@@ -191,16 +194,16 @@ class TestLayerCost:
 
     def test_double_bandwidth_halves_transfer(self):
         net = zoo.toy_cnn(0)
-        slow = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 8, 8, hwsim.HwConfig())
+        slow = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 8, 8, hwsim.HwConfig(), L_MAX)
         fast = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 8, 8,
-                                hwsim.HwConfig(transfer_bandwidth=16))
+                                hwsim.HwConfig(transfer_bandwidth=16), L_MAX)
         assert fast.transfer == -(-slow.transfer // 2)
         assert fast.write_back == -(-slow.write_back // 2)
         assert fast.compute == slow.compute
 
     def test_linear_single_column(self):
         lin = m.Linear(64, 10, weight=np.zeros((10, 64), dtype=np.float32))
-        cost = hwsim.layer_cost(lin, (4, 4, 4), (10,), 8, 8, hwsim.HwConfig())
+        cost = hwsim.layer_cost(lin, (4, 4, 4), (10,), 8, 8, hwsim.HwConfig(), L_MAX)
         assert cost.dims == (10, 64, 1)
         assert cost.tile == 8
         # grid ceil(10/8) * ceil(64/8) * 1 = 16
@@ -209,7 +212,7 @@ class TestLayerCost:
     def test_unweighted_layer_raises(self):
         # a weighted layer's post_process already covers its BatchNorm and ReLU
         with pytest.raises(UnsupportedLayerError):
-            hwsim.layer_cost(m.ReLU(), (8, 8, 8), (8, 8, 8), 8, 8, hwsim.HwConfig())
+            hwsim.layer_cost(m.ReLU(), (8, 8, 8), (8, 8, 8), 8, 8, hwsim.HwConfig(), L_MAX)
 
     def test_transfer_priced_by_blocked_formula(self):
         spy = mock.patch.object(hwsim, "blocked_transfer_elements", wraps=hwsim.blocked_transfer_elements)
