@@ -21,7 +21,6 @@ import logging
 import math
 import os
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from .errors import (
     NumericFailureError,
     ShapeMismatchError,
     UnsupportedLayerError,
+    build,
     checked,
 )
 from .hwsim import HwConfig, HwProfile, profile_model
@@ -151,30 +151,6 @@ _FLAGS = {
     "bits_activations": ("planner.activation_bits", None),
 }
 
-def _build(cls, doc, path: str, defaults: dict):
-    """Instantiate dataclass cls from the JSON object doc.
-
-    Section fields recurse into their own objects; a key missing from doc
-    takes defaults[key], else the field's own default.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path.rstrip('.')}: must be a JSON object, got {json.dumps(doc)}")
-    hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    for key in doc:
-        if key not in names:
-            raise ConfigError(f"{path}{key}: unknown configuration key")
-    kwargs = {}
-    for name in names:
-        if dataclasses.is_dataclass(hints[name]):
-            kwargs[name] = _build(hints[name], doc.get(name, {}), f"{path}{name}.", defaults.get(name, {}))
-        elif name in doc:
-            kwargs[name] = checked(doc[name], hints[name], f"{path}{name}")
-        elif name in defaults:
-            kwargs[name] = defaults[name]
-    return cls(**kwargs)
-
-
 def load_config(config_path: str | None, overrides: argparse.Namespace) -> PipelineConfig:
     """Merge config file and command-line overrides into one resolved config."""
     doc = {}
@@ -191,13 +167,13 @@ def load_config(config_path: str | None, overrides: argparse.Namespace) -> Pipel
             continue
         section, _, leaf = key.rpartition(".")
         target = doc.setdefault(section, {}) if section else doc
-        if isinstance(target, dict):  # _build rejects a section that is not an object
+        if isinstance(target, dict):  # build rejects a section that is not an object
             target[leaf] = value
             target.pop(drops, None)
     # the first build checks the master seed that unset sub-seeds then follow
-    seed = _build(PipelineConfig, doc, "", {}).seed
-    return _build(PipelineConfig, doc, "", {"distill": {"seed": seed}, "sensitivity": {"seed": seed},
-                                            "eval": {"seed": seed + 1}})
+    seed = build(PipelineConfig, doc, "", {}).seed
+    return build(PipelineConfig, doc, "", {"distill": {"seed": seed}, "sensitivity": {"seed": seed},
+                                           "eval": {"seed": seed + 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +239,17 @@ def ensure_model(cfg: PipelineConfig) -> tuple[m.ModelGraph, Path]:
     return m.load_model(path), path
 
 
-def _load_distilled(cfg: PipelineConfig) -> SyntheticBatch:
+def _load_distilled(cfg: PipelineConfig) -> np.ndarray:
+    """The distilled float32 batch; the rest of distilled.json is written for the record only."""
     out = _out(cfg)
 
-    def parse(doc: dict) -> SyntheticBatch:
-        blob = out / doc["blob"]
+    def parse(doc: dict) -> np.ndarray:
+        blob = out / checked(doc["blob"], str, "blob")
+        shape = [checked(v, int, "shape") for v in checked(doc["shape"], list, "shape")]
         flat = np.frombuffer(blob.read_bytes(), dtype="<f4")
-        need = math.prod(doc["shape"])  # Python arithmetic: a huge or infinite entry does not overflow
-        if flat.size != need:
-            raise ValueError(f"{blob.name} holds {flat.size} values, shape {doc['shape']} needs {need}")
-        return SyntheticBatch(
-            data=flat.reshape(doc["shape"]).astype(np.float32),
-            final_loss=float(doc["final_loss"]),
-            loss_history=[float(v) for v in doc["loss_history"]],
-            seed=int(doc["seed"]),
-        )
+        if flat.size != math.prod(shape):
+            raise ValueError(f"{blob.name} holds {flat.size} values, shape {shape} needs {math.prod(shape)}")
+        return flat.reshape(shape).astype(np.float32)
 
     return _read_artifact(out / ART_DISTILLED, "distill", parse)
 
@@ -290,6 +262,24 @@ def _load_profile(cfg: PipelineConfig) -> HwProfile:
         return profile
 
     return _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", parse)
+
+
+def _load_plan(cfg: PipelineConfig) -> tuple[PlannerConfig, PlanResult]:
+    """plan.json as the planner section it was solved with and the plan it holds."""
+    def parse(doc: dict) -> tuple[PlannerConfig, PlanResult]:
+        wb = doc["weight_bits"]
+        if type(wb) is not list or any(type(b) is not int or b not in (BIT_LOW, BIT_HIGH) for b in wb):
+            raise ConfigError(f"weight_bits must be a list of {BIT_LOW} and {BIT_HIGH}, got {json.dumps(wb)}")
+        planner_cfg = build(PlannerConfig, doc.pop("planner", None), "planner.")
+        return planner_cfg, build(PlanResult, doc)
+
+    return _read_artifact(_out(cfg) / ART_PLAN, "plan", parse)
+
+
+def _planned_bits(cfg: PipelineConfig) -> quant.BitConfig:
+    planner_cfg, plan = _load_plan(cfg)
+    wb = plan.weight_bits
+    return quant.BitConfig(wb, [8] * len(wb) if planner_cfg.activation_bits == "8" else list(wb))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +310,9 @@ def stage_sense(cfg: PipelineConfig) -> SensitivityReport:
     batch = _load_distilled(cfg)
     sc = cfg.sensitivity
     if sc.method == "mqe":
-        report = mqe_sensitivity(net, batch.data, alpha=sc.alpha, seed=sc.seed, base_bits=sc.base_bits)
+        report = mqe_sensitivity(net, batch, alpha=sc.alpha, seed=sc.seed, base_bits=sc.base_bits)
     else:
-        report = naive_sensitivity(net, batch.data, bits=sc.naive_bits)
+        report = naive_sensitivity(net, batch, bits=sc.naive_bits)
     _write_json(_out(cfg) / ART_SENSITIVITY, report.to_dict())
     log.info("sensitivity (%s): %s", report.method, np.round(report.omega, 6).tolist())
     return report
@@ -346,21 +336,11 @@ def stage_plan(cfg: PipelineConfig) -> PlanResult:
     return plan
 
 
-def _plan_bit_config(plan_doc: dict) -> quant.BitConfig:
-    wb = plan_doc["weight_bits"]
-    if type(wb) is not list or any(type(b) is not int or b not in (BIT_LOW, BIT_HIGH) for b in wb):
-        raise ConfigError(f"weight_bits must be a list of {BIT_LOW} and {BIT_HIGH}, got {json.dumps(wb)}")
-    # rebuilt to reject a missing or bad key
-    planner_cfg = PlannerConfig(**{f.name: plan_doc["planner"][f.name] for f in dataclasses.fields(PlannerConfig)})
-    ab = [8] * len(wb) if planner_cfg.activation_bits == "8" else list(wb)
-    return quant.BitConfig(wb, ab)
-
-
 def stage_quantize(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
     batch = _load_distilled(cfg)
-    bit_cfg = _read_artifact(_out(cfg) / ART_PLAN, "plan", _plan_bit_config)
-    qm = quant.quantize_model(net, bit_cfg, batch.data)
+    bit_cfg = _planned_bits(cfg)
+    qm = quant.quantize_model(net, bit_cfg, batch)
 
     blob = bytearray()
     layers_doc = []
@@ -402,17 +382,17 @@ def stage_quantize(cfg: PipelineConfig) -> dict:
 def stage_eval(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
     batch = _load_distilled(cfg)
-    planned = _read_artifact(_out(cfg) / ART_PLAN, "plan", _plan_bit_config)
+    planned = _planned_bits(cfg)
     profile = _load_profile(cfg)
     count = len(m.weighted_layers(net))
 
-    _, calib = m.forward(net, batch.data, record=True)  # shared by every variant's grids
+    _, calib = m.forward(net, batch, record=True)  # shared by every variant's grids
 
     results = {}
     fp_preds = labels = None
     for name in _EVAL_VARIANTS:
         bit_cfg = quant.BitConfig.uniform(count, _UNIFORM_BITS[name]) if name in _UNIFORM_BITS else planned
-        qm = quant.quantize_model(net, bit_cfg, batch.data, calib)
+        qm = quant.quantize_model(net, bit_cfg, batch, calib)
         # the eval set is drawn and run one chunk at a time; only predictions are kept
         preds, ys = zip(*((quant.quantized_forward(qm, xs).argmax(axis=1), ys)
                           for xs, ys in zoo.eval_batches(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed)))
@@ -473,27 +453,24 @@ def assemble_report(cfg: PipelineConfig) -> dict:
         model_path = model_path.resolve().relative_to(out.resolve())
     except ValueError:
         pass
-    sense_doc = _read_artifact(out / ART_SENSITIVITY, "sense")
+    sense = _read_artifact(out / ART_SENSITIVITY, "sense", SensitivityReport.from_dict)
     profile = _load_profile(cfg)
-    plan_doc = _read_artifact(out / ART_PLAN, "plan")
+    planner_cfg, plan = _load_plan(cfg)
     quant_doc = _read_artifact(out / ART_QUANTIZED, "quantize")
     eval_doc = _read_artifact(out / ART_EVAL, "eval")
 
-    omega = np.asarray(sense_doc["omega"], dtype=np.float64)
-    w_hat, c_hat, e_hat, scores = blend_scores(omega, profile, float(plan_doc["planner"]["beta"]),
-                                               float(plan_doc["planner"]["gamma"]))
-
+    blend = blend_scores(sense.omega, profile, planner_cfg.beta, planner_cfg.gamma)
     layer_rows = []
-    bits = [int(b) for b in plan_doc["weight_bits"]]
-    for pos, idx in enumerate(profile.layer_indices()):
+    for idx, elems, bits, omega, w_hat, c_hat, e_hat, score in zip(
+            profile.layer_indices(), profile.weight_elems(), plan.weight_bits, sense.omega.tolist(),
+            *(v.tolist() for v in blend)):
         cost = profile.cost(idx, 8)
-        elems = profile.weight_elems()[pos]
         layer_rows.append({
             "layer_index": idx,
             "kind": net.layers[idx].kind,
             "weight_elems": elems,
-            "omega": float(omega[pos]),
-            "omega_hat": float(w_hat[pos]),
+            "omega": omega,
+            "omega_hat": w_hat,
             "cycles": {
                 "compute": cost.compute,
                 "transfer": cost.transfer,
@@ -501,12 +478,12 @@ def assemble_report(cfg: PipelineConfig) -> dict:
                 "post_process": cost.post_process,
                 "total": cost.total_cycles,
             },
-            "energy": float(cost.energy),
-            "c_hat": float(c_hat[pos]),
-            "e_hat": float(e_hat[pos]),
-            "score": float(scores[pos]),
-            "bits": bits[pos],
-            "weight_size_bits": elems * bits[pos],
+            "energy": cost.energy,
+            "c_hat": c_hat,
+            "e_hat": e_hat,
+            "score": score,
+            "bits": bits,
+            "weight_size_bits": elems * bits,
         })
 
     report = {
@@ -525,9 +502,8 @@ def assemble_report(cfg: PipelineConfig) -> dict:
         },
         "bram": dataclasses.asdict(profile.bram),
         "layers": layer_rows,
-        "plan": {**{f.name: plan_doc[f.name] for f in dataclasses.fields(PlanResult)},
-                 "activation_bits": quant_doc["activation_bits"]},
-        "sizes": {**quant_doc["size"], "limit_bits": plan_doc["limit_bits"]},
+        "plan": {**dataclasses.asdict(plan), "activation_bits": quant_doc["activation_bits"]},
+        "sizes": {**quant_doc["size"], "limit_bits": plan.limit_bits},
         "eval": eval_doc,
     }
     report["meta"]["canonical_sha256"] = canonical_hash(report)

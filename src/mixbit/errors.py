@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the JSON type check that raises ConfigError.
+"""Exception types shared across the package, and the checked JSON reader that raises ConfigError.
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 infeasible hardware or size limits exit 3, numeric failures exit 4.
 """
 
+import dataclasses
 import json
 import typing
 
@@ -66,3 +67,29 @@ def checked(value, hint, where: str):
     if type(value) is not kind:
         raise ConfigError(f"{where}: expected {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     return value
+
+
+def build(cls, doc, path: str = "", defaults: dict | None = None):
+    """Dataclass cls from the JSON object doc, each value through `checked`; errors name path + key.
+
+    A missing key takes defaults[key], else the field's default; without
+    defaults, as for an artifact written with every key, it is an error.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path.rstrip('.')}: must be a JSON object, got {json.dumps(doc)}")
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"{path}{key}: unknown key")
+    kwargs = {}
+    for name in names:
+        if dataclasses.is_dataclass(hints[name]):
+            kwargs[name] = build(hints[name], doc.get(name, {}), f"{path}{name}.", defaults and defaults.get(name, {}))
+        elif name in doc:
+            kwargs[name] = checked(doc[name], hints[name], f"{path}{name}")
+        elif defaults is None:
+            raise ConfigError(f"{path}{name}: missing key")
+        elif name in defaults:
+            kwargs[name] = defaults[name]
+    return cls(**kwargs)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model as m
 from . import quant
-from .errors import ConfigError, InfeasibleHardwareError, UnsupportedLayerError, checked
+from .errors import ConfigError, InfeasibleHardwareError, UnsupportedLayerError, build, checked
 
 PROFILE_FORMAT = "mixbit-profile"
 
@@ -158,10 +158,13 @@ def transfer_volume(side: int, tile: int) -> int:
     return 3 * tile * tile * n ** 3
 
 
+def _tile_products(rows: int, inner: int, cols: int, tile: int) -> int:
+    return _ceil_div(rows, tile) * _ceil_div(inner, tile) * _ceil_div(cols, tile)
+
+
 def blocked_transfer_elements(rows: int, inner: int, cols: int, tile: int) -> int:
     """Transfer accounting of the cost model: 3 T^2 elements per tile product."""
-    grid = -(-rows // tile) * -(-inner // tile) * -(-cols // tile)
-    return 3 * tile * tile * grid
+    return 3 * tile * tile * _tile_products(rows, inner, cols, tile)
 
 
 def _tree_latency(k_tile: int, lanes: int, config: HwConfig) -> int:
@@ -178,10 +181,8 @@ def matmul_cycles(rows: int, inner: int, cols: int, tile: int, config: HwConfig,
     """
     if min(rows, inner, cols, tile) < 1:
         raise ConfigError("matrix dimensions and tile must be positive")
-    grid = -(-rows // tile) * -(-inner // tile) * -(-cols // tile)
-    feeds = -(-tile // lanes)
-    per_pair = tile * tile * feeds + _tree_latency(tile, lanes, config)
-    return grid * per_pair
+    per_pair = tile * tile * _ceil_div(tile, lanes) + _tree_latency(tile, lanes, config)
+    return _tile_products(rows, inner, cols, tile) * per_pair
 
 
 def effective_lanes(config: HwConfig, weight_bits: int, act_bits: int) -> int:
@@ -336,9 +337,9 @@ class HwProfile:
             rows.append(ProfileRow(field("layer_index"), field("kind", str), field("bits"),
                                    field("weight_elems"), cost))
         return cls(
-            config=HwConfig(**d["config"]),
-            bram=BramAllocation(**d["bram"]),
-            candidates=tuple(d["candidates"]),
+            config=build(HwConfig, d["config"], "config."),
+            bram=build(BramAllocation, d["bram"], "bram."),
+            candidates=tuple(checked(b, int, "candidates") for b in checked(d["candidates"], list, "candidates")),
             rows=rows,
         )
 

@@ -92,13 +92,24 @@ def calibrate_minmax(values: np.ndarray, bits: int, symmetric: bool) -> QuantPar
     return QuantParams(scale=scale, zero_point=zp, bits=bits, symmetric=False)
 
 
-def quantize(values: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Map float values onto integer codes (int32 array)."""
+def _codes(values: np.ndarray, params: QuantParams) -> np.ndarray:
+    """round_half_away(x / scale) - zero_point, clipped to the code range, in one float64 buffer."""
     v = np.asarray(values)
     if not np.isfinite(v).all():
         raise ValueError("cannot quantize non-finite values")
-    q = round_half_away(v.astype(np.float64) / params.scale) - params.zero_point
-    return np.clip(q, params.qmin, params.qmax).astype(np.int32)
+    t = v.astype(np.float64)
+    t /= params.scale
+    np.abs(t, out=t)
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, v, out=t)  # x / scale has the sign of x, since scale is positive
+    t -= params.zero_point
+    return np.clip(t, params.qmin, params.qmax, out=t)
+
+
+def quantize(values: np.ndarray, params: QuantParams) -> np.ndarray:
+    """Map float values onto integer codes (int32 array)."""
+    return _codes(values, params).astype(np.int32)
 
 
 def dequantize(codes: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -112,19 +123,8 @@ def fake_quantize(values: np.ndarray, params: QuantParams) -> np.ndarray:
 
     The same float64 operations run in the same order; only the int32 round
     trip is skipped, which is exact because clipped codes are small integers.
-    The sign of x / scale is the sign of x, since scale is positive.
     """
-    v = np.asarray(values)
-    if not np.isfinite(v).all():
-        raise ValueError("cannot quantize non-finite values")
-    t = v.astype(np.float64)
-    t /= params.scale
-    np.abs(t, out=t)
-    t += 0.5
-    np.floor(t, out=t)
-    np.copysign(t, v, out=t)
-    t -= params.zero_point
-    np.clip(t, params.qmin, params.qmax, out=t)
+    t = _codes(values, params)
     t += params.zero_point
     t *= params.scale
     return t.astype(np.float32)
@@ -298,10 +298,5 @@ def fixed_param_bits(model: m.ModelGraph) -> int:
 
 def model_size(model: m.ModelGraph, bit_config: BitConfig) -> ModelSize:
     """Total stored size under a bit config; passthrough layers count at 32 bits."""
-    slots = m.weighted_layers(model)
-    if len(bit_config.weight_bits) != len(slots):
-        raise ConfigError(
-            f"bit config covers {len(bit_config.weight_bits)} layers, model has {len(slots)} weighted layers"
-        )
     wbits = sum(weight_bit_sizes(model, list(bit_config.weight_bits)))
     return ModelSize(weight_bits=wbits, fixed_bits=fixed_param_bits(model))

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mixbit import cli, planner, quant, zoo
+from mixbit import cli, errors, planner, quant, zoo
 from mixbit import model as m
 
 
@@ -141,6 +141,21 @@ def pipeline_run(light_config, tmp_path_factory):
     assert rc == cli.EXIT_OK
     report = json.loads((out / cli.ART_REPORT_JSON).read_text())
     return out, report
+
+
+# name -> (artifact, edit, dotted key the reader names, stages that read the artifact)
+_STORED_SECTION_MUTATIONS = {
+    "lanes_true": (cli.ART_PROFILE_JSON, lambda d: d["config"].update(lanes=True), "config.lanes", ("plan", "eval")),
+    "l_max_string": (cli.ART_PROFILE_JSON, lambda d: d["bram"].update(l_max="x"), "bram.l_max", ("plan", "eval")),
+    "float_candidate": (cli.ART_PROFILE_JSON, lambda d: d.update(candidates=[4.0, 8, 32]), "candidates", ("plan",)),
+    "beta_true": (cli.ART_PLAN, lambda d: d["planner"].update(beta=True, gamma=0.0), "planner.beta",
+                  ("quantize", "eval")),
+    "fractional_limit_bits": (cli.ART_PLAN, lambda d: d["planner"].update(limit_bits=1.5, ratio=None),
+                              "planner.limit_bits", ("quantize", "eval")),
+    "unknown_planner_key": (cli.ART_PLAN, lambda d: d["planner"].update(bogus=1), "planner.bogus", ("quantize",)),
+    "string_objective": (cli.ART_PLAN, lambda d: d.update(objective="x"), "objective", ("quantize", "eval")),
+    "unknown_plan_key": (cli.ART_PLAN, lambda d: d.update(bogus=1), "bogus", ("quantize",)),
+}
 
 
 class TestPipeline:
@@ -498,6 +513,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert artifact in err and message in err
 
+    @pytest.mark.parametrize("artifact, edit, key, command", [
+        pytest.param(artifact, edit, key, command, id=f"{name}-{command}")
+        for name, (artifact, edit, key, commands) in _STORED_SECTION_MUTATIONS.items() for command in commands
+    ])
+    def test_stored_config_section_is_read_like_the_config(self, light_config, pipeline_run, tmp_path, capsys,
+                                                           artifact, edit, key, command):
+        # the config sections and plan fields an artifact stores are type-checked, not coerced
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / artifact).read_text())
+        edit(doc)
+        (out / artifact).write_text(json.dumps(doc))
+        assert cli.main([command, "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        producer = {cli.ART_PROFILE_JSON: "profile", cli.ART_PLAN: "plan"}[artifact]
+        assert artifact in err and f"{key}: " in err and f"rerun `mixbit {producer}`" in err
+
     def test_bad_config_value_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"planner": {"ratio": 2.5}}))
@@ -607,6 +639,20 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["sense", "--config", str(config), "--out", str(out)]) == cli.EXIT_NUMERIC
         assert "non-finite values after layer 4 (linear)" in capsys.readouterr().err
+
+
+class TestBuild:
+    def test_missing_key_is_a_default_for_a_config_and_an_error_for_an_artifact(self):
+        full = {"samples": 8, "noise": 0.25, "seed": 3}
+        assert errors.build(cli.EvalConfig, {"samples": 8}, "eval.", {"seed": 3}) == cli.EvalConfig(8, 0.1, 3)
+        assert errors.build(cli.EvalConfig, full, "eval.") == cli.EvalConfig(8, 0.25, 3)
+        with pytest.raises(errors.ConfigError, match=r"^eval\.noise: missing key$"):
+            errors.build(cli.EvalConfig, {"samples": 8, "seed": 3}, "eval.")
+        for defaults in ({}, None):
+            with pytest.raises(errors.ConfigError, match=r"^eval\.bogus: unknown key$"):
+                errors.build(cli.EvalConfig, {**full, "bogus": 1}, "eval.", defaults)
+            with pytest.raises(errors.ConfigError, match=r"^eval\.samples: expected an integer, got true$"):
+                errors.build(cli.EvalConfig, {**full, "samples": True}, "eval.", defaults)
 
 
 class TestLoadConfig:

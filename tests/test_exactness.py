@@ -284,7 +284,7 @@ def test_stage_eval_matches_per_variant_calibration(tmp_path):
 
     cfg = cli.load_config(str(config), cli.build_parser().parse_args(["eval", "--out", str(out)]))
     net, _ = cli.ensure_model(cfg)
-    calib = cli._load_distilled(cfg).data
+    calib = cli._load_distilled(cfg)
     plan = json.loads((out / cli.ART_PLAN).read_text())
     xs, labels = zoo.make_eval_dataset(net, cfg.eval_samples, cfg.eval_noise, cfg.eval_seed)
     fp_preds = None
