@@ -331,7 +331,7 @@ def stage_profile(cfg: PipelineConfig) -> HwProfile:
 def stage_plan(cfg: PipelineConfig) -> PlanResult:
     report = _read_artifact(_out(cfg) / ART_SENSITIVITY, "sense", SensitivityReport.from_dict)
     plan = plan_pipeline(report, _load_profile(cfg), cfg.planner)
-    _write_json(_out(cfg) / ART_PLAN, {"planner": dataclasses.asdict(cfg.planner), **plan.to_dict()})
+    _write_json(_out(cfg) / ART_PLAN, {"planner": dataclasses.asdict(cfg.planner), **dataclasses.asdict(plan)})
     log.info("plan: %s (objective %.6g)", plan.weight_bits, plan.objective)
     return plan
 

@@ -336,9 +336,17 @@ class HwProfile:
                                   f"its four steps, {cost.total_cycles}")
             rows.append(ProfileRow(field("layer_index"), field("kind", str), field("bits"),
                                    field("weight_elems"), cost))
+        config = build(HwConfig, d["config"], "config.")
+        bram = build(BramAllocation, d["bram"], "bram.")
+        try:  # the rows were costed with the buffers config allocates
+            allocated = bram_allocate(config)
+        except InfeasibleHardwareError as exc:
+            raise ConfigError(f"bram: config allocates no buffers ({exc})") from exc
+        if bram != allocated:
+            raise ConfigError(f"bram: {asdict(bram)} is not what config allocates: {asdict(allocated)}")
         return cls(
-            config=build(HwConfig, d["config"], "config."),
-            bram=build(BramAllocation, d["bram"], "bram."),
+            config=config,
+            bram=bram,
             candidates=tuple(checked(b, int, "candidates") for b in checked(d["candidates"], list, "candidates")),
             rows=rows,
         )

@@ -20,6 +20,7 @@ from .sensitivity import SensitivityReport
 
 BIT_LOW = 4
 BIT_HIGH = 8
+_ROW_BLOCK = 1 << 15  # cells of the knapsack row updated per step; 2**14 to 2**16 run alike
 
 
 def normalize(values) -> np.ndarray:
@@ -61,15 +62,6 @@ class PlanResult:
     limit_bits: int
     solver_cells: int
 
-    def to_dict(self) -> dict:
-        return {
-            "weight_bits": [int(b) for b in self.weight_bits],
-            "objective": float(self.objective),
-            "achieved_size_bits": int(self.achieved_size_bits),
-            "limit_bits": int(self.limit_bits),
-            "solver_cells": int(self.solver_cells),
-        }
-
 
 def plan_objective(scores, weight_bits) -> float:
     """Objective of a concrete plan: sum of bits_i * score_i, left to right."""
@@ -93,7 +85,15 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
     sum(bits_i * score_i) subject to the summed weight bits staying within
     limit_bits. Among equal-objective plans it returns the one upgrading the
     lowest layer indices (an upgrade with zero marginal gain is taken when
-    budget allows). Layers with negative scores are never upgraded.
+    budget allows). Layers with negative scores are never upgraded, not even
+    when the gain is too small to change a sum: they are left out of the
+    dynamic program.
+
+    The solver keeps one float and one flag per unit of budget (units of the
+    costs' gcd), a buffer of _ROW_BLOCK floats through which each layer
+    updates the float row one block at a time, and one bit per layer and
+    unit for the traceback. solver_cells counts the whole
+    (layers + 1) x (units + 1) table, skipped layers included.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
@@ -119,19 +119,27 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
     # row[c]: best extra gain from layers i+1.. with c units of headroom,
     # updated in place to layers i..; take[i] holds one bit per c that says
     # whether upgrading layer i attains row[c] (>= prefers the upgrade, so
-    # ties go to the lowest index).
+    # ties go to the lowest index). Each layer updates row from the top down
+    # in blocks of _ROW_BLOCK cells: a block's candidates row[c - w] + gain
+    # go into buf before the block is written, and every cell below the
+    # block is still layer i+1's, so the floats and ties match a full-row
+    # update. A layer with negative gain is skipped: row never decreases in
+    # c, so it could win only a rounding tie.
     row = np.zeros(cap + 1, dtype=np.float64)
+    buf = np.empty(min(_ROW_BLOCK, cap + 1), dtype=np.float64)
     upgrade = np.zeros(cap + 1, dtype=bool)
     take = np.zeros((n, (cap + 8) // 8), dtype=np.uint8)
     for i in range(n - 1, -1, -1):
         w = units[i]
-        if w > cap:
+        if w > cap or gains[i] < 0:
             continue
-        cand = row[:cap + 1 - w] + gains[i]
         upgrade[:w] = False
-        np.greater_equal(cand, row[w:], out=upgrade[w:])
+        for hi in range(cap + 1, w, -buf.size):
+            lo = max(hi - buf.size, w)
+            cand = np.add(row[lo - w:hi - w], gains[i], out=buf[:hi - lo])
+            np.greater_equal(cand, row[lo:hi], out=upgrade[lo:hi])
+            np.maximum(row[lo:hi], cand, out=row[lo:hi])
         take[i] = np.packbits(upgrade)
-        np.maximum(row[w:], cand, out=row[w:])
 
     # np.packbits puts entry c in byte c // 8, most significant bit first
     plan = []

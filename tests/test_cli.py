@@ -147,6 +147,9 @@ def pipeline_run(light_config, tmp_path_factory):
 _STORED_SECTION_MUTATIONS = {
     "lanes_true": (cli.ART_PROFILE_JSON, lambda d: d["config"].update(lanes=True), "config.lanes", ("plan", "eval")),
     "l_max_string": (cli.ART_PROFILE_JSON, lambda d: d["bram"].update(l_max="x"), "bram.l_max", ("plan", "eval")),
+    "l_max_64": (cli.ART_PROFILE_JSON, lambda d: d["bram"].update(l_max=64), "bram", ("plan", "eval")),
+    "weight_blocks_1": (cli.ART_PROFILE_JSON, lambda d: d["bram"].update(weight_blocks=1), "bram", ("plan", "eval")),
+    "bram_total_10": (cli.ART_PROFILE_JSON, lambda d: d["config"].update(bram_total=10), "bram", ("plan", "eval")),
     "float_candidate": (cli.ART_PROFILE_JSON, lambda d: d.update(candidates=[4.0, 8, 32]), "candidates", ("plan",)),
     "beta_true": (cli.ART_PLAN, lambda d: d["planner"].update(beta=True, gamma=0.0), "planner.beta",
                   ("quantize", "eval")),

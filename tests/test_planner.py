@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -129,6 +130,38 @@ def _resnet50_weights():
     return counts + [2048 * 1000]
 
 
+def _check_against_full_table(gcd):
+    # e elements cost 4 * e bits to upgrade, so gcd * k elements cost
+    # 4 * gcd * k; odd counts (odd gcd and k, 1-element layers at gcd 1)
+    # are planned without rounding to bytes
+    rng = np.random.default_rng(100 + gcd)
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        elems = gcd * rng.integers(1, 24, size=n)
+        elems[rng.random(n) < 0.15] = gcd
+        elems[rng.integers(0, n)] = gcd  # pins the gcd of the costs
+        scores = [
+            rng.integers(-8, 9, size=n) / 8.0,  # exact sums, many ties
+            rng.standard_normal(n),
+            np.zeros(n),
+            np.full(n, rng.choice([-0.5, 0.25])),
+        ][trial % 4]
+        sizes4 = [int(e) * 4 for e in elems]
+        sizes8 = [int(e) * 8 for e in elems]
+        assert math.gcd(*(s8 - s4 for s4, s8 in zip(sizes4, sizes8))) == 4 * gcd
+        floor = sum(sizes4)  # all 4-bit
+        full = sum(sizes8)
+        for limit in (floor - 1, floor, full, floor + int(rng.integers(0, full - floor + 1))):
+            want = _outcome(_full_table_plan, scores, sizes4, sizes8, limit)
+            got = _outcome(planner.solve_bitplan, scores, sizes4, sizes8, limit)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert (got.weight_bits, got.objective, got.achieved_size_bits) == want
+            units = (limit - floor) // (4 * gcd)
+            assert got.solver_cells == (n + 1) * (units + 1)
+
+
 class TestSolveBitplan:
     def test_worked_example(self):
         # elems 10/20/30 -> upgrade costs 40/80/120 bits, gains 3.6/0.4/2.0;
@@ -156,6 +189,12 @@ class TestSolveBitplan:
         res = planner.solve_bitplan(scores, sizes4, sizes8, limit_bits=48)
         # slack budget: positive and zero-gain upgrades happen, negative never
         assert res.weight_bits == [8, 8, 4]
+
+    def test_tiny_negative_score_never_upgraded(self):
+        # 4 * -1e-17 vanishes against a gain of 4.0, so upgrading layer 0 ties
+        # on the objective; the layer is skipped, not upgraded on the tie
+        res = planner.solve_bitplan([-1e-17, 1.0], [8, 8], [16, 16], 32)
+        assert res.weight_bits == [4, 8]
 
     def test_zero_cost_upgrade_taken(self):
         # a single-element layer costs 4 bits to upgrade, which the 4 bits of
@@ -206,44 +245,29 @@ class TestSolveBitplan:
 
     @pytest.mark.parametrize("gcd", [1, 2, 3, 8, 32])
     def test_matches_full_table_reference(self, gcd):
-        # e elements cost 4 * e bits to upgrade, so gcd * k elements cost
-        # 4 * gcd * k; odd counts (odd gcd and k, 1-element layers at gcd 1)
-        # are planned without rounding to bytes
-        rng = np.random.default_rng(100 + gcd)
-        for trial in range(60):
-            n = int(rng.integers(1, 9))
-            elems = gcd * rng.integers(1, 24, size=n)
-            elems[rng.random(n) < 0.15] = gcd
-            elems[rng.integers(0, n)] = gcd  # pins the gcd of the costs
-            scores = [
-                rng.integers(-8, 9, size=n) / 8.0,  # exact sums, many ties
-                rng.standard_normal(n),
-                np.zeros(n),
-                np.full(n, rng.choice([-0.5, 0.25])),
-            ][trial % 4]
-            sizes4 = [int(e) * 4 for e in elems]
-            sizes8 = [int(e) * 8 for e in elems]
-            assert math.gcd(*(s8 - s4 for s4, s8 in zip(sizes4, sizes8))) == 4 * gcd
-            floor = sum(sizes4)  # all 4-bit
-            full = sum(sizes8)
-            for limit in (floor - 1, floor, full, floor + int(rng.integers(0, full - floor + 1))):
-                want = _outcome(_full_table_plan, scores, sizes4, sizes8, limit)
-                got = _outcome(planner.solve_bitplan, scores, sizes4, sizes8, limit)
-                if isinstance(want, type):
-                    assert got is want
-                    continue
-                assert (got.weight_bits, got.objective, got.achieved_size_bits) == want
-                units = (limit - floor) // (4 * gcd)
-                assert got.solver_cells == (n + 1) * (units + 1)
+        _check_against_full_table(gcd)
 
-    @pytest.mark.parametrize("odd_layer, peak_mb", [(False, 50), (True, 300)])
-    def test_resnet50_memory(self, odd_layer, peak_mb):
+    @pytest.mark.parametrize("gcd", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("row_block", [1, 3, 8])
+    def test_blocked_row_matches_full_table_reference(self, monkeypatch, row_block, gcd):
+        # blocks smaller than, equal to and larger than a layer's cost, whose
+        # source cells overlap them; the stock block holds every instance above
+        monkeypatch.setattr(planner, "_ROW_BLOCK", row_block)
+        _check_against_full_table(gcd)
+
+    @pytest.mark.parametrize("extra, unit_bits, peak_mb", [
+        pytest.param(0, 256, 50, id="False-50"),
+        pytest.param(2, 8, 300, id="True-300"),
+        pytest.param(1, 4, 220, id="9409-220"),
+    ])
+    def test_resnet50_memory(self, extra, unit_bits, peak_mb):
         # every ResNet-50 upgrade cost is a multiple of 256 bits (32 bytes), so
-        # the solver keeps budget // 32 + 1 floats per row, budget in bytes; two
+        # the solver keeps budget // 256 + 1 floats per row, budget in bits; two
         # more weights in one layer give it an odd cost in bytes (gcd 8 bits),
-        # and the solver then works over every byte of budget
+        # one more an odd weight count (gcd 4 bits, 701 M cells), and the row
+        # then spans every byte or half-byte of budget
         counts = _resnet50_weights()
-        counts[0] += 2 * odd_layer
+        counts[0] += extra
         n = len(counts)
         scores = np.random.default_rng(0).standard_normal(n)
         sizes4 = [4 * c for c in counts]
@@ -256,8 +280,7 @@ class TestSolveBitplan:
         finally:
             tracemalloc.stop()
         assert peak < peak_mb * 10**6
-        budget = limit // 8 - sum(sizes4) // 8
-        assert res.solver_cells == (n + 1) * (budget // (1 if odd_layer else 32) + 1)
+        assert res.solver_cells == (n + 1) * ((limit - sum(sizes4)) // unit_bits + 1)
         assert planner.feasible(sizes4, sizes8, res.weight_bits, limit)
 
     def test_objective_monotone_in_limit(self):
@@ -428,8 +451,8 @@ class TestPlanPipeline:
 class TestPlanResult:
     def test_round_trip_json_ready(self):
         res = planner.solve_bitplan([0.9, 0.1], [40, 80], [80, 160], 240)
-        back = json.loads(json.dumps(res.to_dict()))
-        assert back == res.to_dict()
+        back = json.loads(json.dumps(dataclasses.asdict(res)))
+        assert back == dataclasses.asdict(res)
         assert back["weight_bits"] == res.weight_bits
         assert back["objective"] == res.objective
         assert back["achieved_size_bits"] == res.achieved_size_bits
