@@ -37,6 +37,7 @@ from .errors import (
     InfeasiblePlanError,
     ModelFormatError,
     NumericFailureError,
+    RangeError,
     ShapeMismatchError,
     UnsupportedLayerError,
     build,
@@ -81,15 +82,15 @@ class SenseConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"sensitivity.alpha must lie in [0, 1], got {self.alpha}")
+            raise RangeError("{at}alpha must lie in [0, 1], got {}", self.alpha)
         if self.seed < 0:
-            raise ConfigError(f"sensitivity.seed must be non-negative, got {self.seed}")
+            raise RangeError("{at}seed must be non-negative, got {}", self.seed)
         if self.method not in ("mqe", "naive"):
-            raise ConfigError(f"sensitivity.method must be 'mqe' or 'naive', got {self.method!r}")
+            raise RangeError("{at}method must be 'mqe' or 'naive', got {!r}", self.method)
         if self.base_bits not in (4, 8):
-            raise ConfigError(f"sensitivity.base_bits must be 4 or 8, got {self.base_bits}")
+            raise RangeError("{at}base_bits must be 4 or 8, got {}", self.base_bits)
         if self.naive_bits not in quant.BIT_CHOICES:
-            raise ConfigError(f"sensitivity.naive_bits must be one of {list(quant.BIT_CHOICES)}, got {self.naive_bits}")
+            raise RangeError("{at}naive_bits must be one of {}, got {}", list(quant.BIT_CHOICES), self.naive_bits)
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,11 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ConfigError(f"eval.samples must be >= 1, got {self.samples}")
+            raise RangeError("{at}samples must be >= 1, got {}", self.samples)
         if not 0.0 <= self.noise < math.inf:
-            raise ConfigError(f"eval.noise must be finite and non-negative, got {self.noise}")
+            raise RangeError("{at}noise must be finite and non-negative, got {}", self.noise)
         if self.seed < 0:
-            raise ConfigError(f"eval.seed must be non-negative, got {self.seed}")
+            raise RangeError("{at}seed must be non-negative, got {}", self.seed)
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise RangeError("{at}seed must be non-negative, got {}", self.seed)
 
     # Acceptance criterion 11 reads these three names; no other alias exists.
     @property

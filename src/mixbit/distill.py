@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as m
-from .errors import ConfigError, DivergenceError, UnsupportedLayerError
+from .errors import DivergenceError, RangeError, UnsupportedLayerError
 
 
 @dataclass(frozen=True)
@@ -26,13 +26,13 @@ class DistillConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ConfigError(f"distill.batch_size must be >= 1, got {self.batch_size}")
+            raise RangeError("{at}batch_size must be >= 1, got {}", self.batch_size)
         if self.steps < 1:
-            raise ConfigError(f"distill.steps must be >= 1, got {self.steps}")
+            raise RangeError("{at}steps must be >= 1, got {}", self.steps)
         if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"distill.learning_rate must be positive and finite, got {self.learning_rate}")
+            raise RangeError("{at}learning_rate must be positive and finite, got {}", self.learning_rate)
         if self.seed < 0:
-            raise ConfigError(f"distill.seed must be non-negative, got {self.seed}")
+            raise RangeError("{at}seed must be non-negative, got {}", self.seed)
 
 
 @dataclass

@@ -17,6 +17,23 @@ class ConfigError(MixbitError):
     """Invalid configuration value; the message carries the field path."""
 
 
+class RangeError(ConfigError):
+    """A value that its config section's own check refuses.
+
+    The message is a str.format template filled with values; each `{at}`
+    in it marks where a key's section path goes. `build` fills it with the
+    path it read the section under ("hardware.", or "config." in
+    profile.json), and a dataclass built directly leaves it empty.
+    """
+
+    def __init__(self, template: str, *values):
+        super().__init__(template.format(*values, at=""))
+        self.template, self.values = template, values
+
+    def under(self, path: str) -> ConfigError:
+        return ConfigError(self.template.format(*self.values, at=path))
+
+
 class ShapeMismatchError(MixbitError):
     """Tensor shapes do not compose."""
 
@@ -49,13 +66,13 @@ class InfeasiblePlanError(MixbitError):
     """Size limit below the smallest achievable model size."""
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list"}
 
 
 def checked(value, hint, where: str):
     """value if its JSON type matches the type hint, else ConfigError naming `where`.
 
-    hint is int, float, str or list, optionally `| None`. bool is not an int,
+    hint is int, float, str, bool or list, optionally `| None`. bool is not an int,
     and an int widens to float where a float is expected.
     """
     kinds = typing.get_args(hint) or (hint,)
@@ -73,7 +90,8 @@ def build(cls, doc, path: str = "", defaults: dict | None = None):
     """Dataclass cls from the JSON object doc, each value through `checked`; errors name path + key.
 
     A missing key takes defaults[key], else the field's default; without
-    defaults, as for an artifact written with every key, it is an error.
+    defaults, as for an artifact written with every key, it is an error. A
+    RangeError from cls's own checks is raised with path as its keys' prefix.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path.rstrip('.')}: must be a JSON object, got {json.dumps(doc)}")
@@ -92,4 +110,7 @@ def build(cls, doc, path: str = "", defaults: dict | None = None):
             raise ConfigError(f"{path}{name}: missing key")
         elif name in defaults:
             kwargs[name] = defaults[name]
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except RangeError as exc:
+        raise exc.under(path) from None

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model as m
 from . import quant
-from .errors import ConfigError, InfeasibleHardwareError, UnsupportedLayerError, build, checked
+from .errors import ConfigError, InfeasibleHardwareError, RangeError, UnsupportedLayerError, build, checked
 
 PROFILE_FORMAT = "mixbit-profile"
 
@@ -53,13 +53,13 @@ class HwConfig:
                      "post_process_cycles_per_element", "coe_w", "coe_f", "coe_o"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"hardware.{name} must be a positive integer, got {v!r}")
+                raise RangeError("{at}{} must be a positive integer, got {!r}", name, v)
         if self.lanes & (self.lanes - 1):
-            raise ConfigError(f"hardware.lanes must be a power of 2, got {self.lanes}")
+            raise RangeError("{at}lanes must be a power of 2, got {}", self.lanes)
         for name in ("static_power", "active_power_per_lane"):
             v = getattr(self, name)
             if not 0 <= v < math.inf:
-                raise ConfigError(f"hardware.{name} must be finite and non-negative, got {v}")
+                raise RangeError("{at}{} must be finite and non-negative, got {}", name, v)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasiblePlanError
+from .errors import ConfigError, InfeasiblePlanError, RangeError
 from .hwsim import HwProfile
 from .sensitivity import SensitivityReport
 
@@ -89,16 +89,20 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
     when the gain is too small to change a sum: they are left out of the
     dynamic program.
 
-    The solver keeps one float and one flag per unit of budget (units of the
-    costs' gcd), a buffer of _ROW_BLOCK floats through which each layer
-    updates the float row one block at a time, and one bit per layer and
-    unit for the traceback. solver_cells counts the whole
-    (layers + 1) x (units + 1) table, skipped layers included.
+    The solver keeps one float per unit of budget (units of the costs'
+    gcd) and a buffer of _ROW_BLOCK floats through which each layer updates
+    the row one block at a time. A layer updates only the cells [lo, hi)
+    that its traceback can reach below a saturated top, and keeps one take
+    bit per cell of that range. solver_cells counts the whole
+    (layers + 1) x (units + 1) table, skipped layers and cells outside the
+    ranges included.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     if n == 0 or len(sizes4) != n or len(sizes8) != n:
         raise ConfigError("scores, sizes4, and sizes8 must be equal-length and non-empty")
+    if not np.isfinite(scores).all():
+        raise ConfigError("scores must be finite")
     costs = [s8 - s4 for s4, s8 in zip(sizes4, sizes8)]
     if min(costs) < 0:
         raise ConfigError("8-bit sizes must dominate 4-bit sizes")
@@ -116,36 +120,53 @@ def solve_bitplan(scores, sizes4, sizes8, limit_bits: int) -> PlanResult:
     units = [w // g for w in costs]
     cap = budget // g
 
-    # row[c]: best extra gain from layers i+1.. with c units of headroom,
-    # updated in place to layers i..; take[i] holds one bit per c that says
-    # whether upgrading layer i attains row[c] (>= prefers the upgrade, so
-    # ties go to the lowest index). Each layer updates row from the top down
-    # in blocks of _ROW_BLOCK cells: a block's candidates row[c - w] + gain
-    # go into buf before the block is written, and every cell below the
-    # block is still layer i+1's, so the floats and ties match a full-row
-    # update. A layer with negative gain is skipped: row never decreases in
-    # c, so it could win only a rounding tie.
+    # row[c]: best extra gain from the active layers after i with c units of
+    # headroom, updated in place to layers i.. (a layer with negative gain,
+    # or costlier than cap, is left out: row never decreases in c, so a
+    # negative gain could win only a rounding tie). Layer i updates only the
+    # cells [lo, hi):
+    # - The traceback meets layer i with c >= cap - below, below being the
+    #   units of the active layers before i, and the layer updated next reads
+    #   no cell under that; a cell under w cannot take the upgrade.
+    # - Every cell c >= top, the units of the active layers after i, holds
+    #   full, the running sum of their gains, and its flag is set: there
+    #   row[c - w] + gain >= row[c] adds each gain to the same float. From
+    #   top + w up the update would write full + gain, so it stops at hi and
+    #   the traceback takes the upgrade at any c >= hi. The cells [top, hi)
+    #   it reads are filled with full first.
+    # take[i] = (lo, hi, bits), one bit per cell of [lo, hi): whether
+    # upgrading layer i attains row[c] (>= prefers the upgrade, so ties go to
+    # the lowest index); a left-out layer's range starts above cap. The range
+    # is updated from the top down in blocks of _ROW_BLOCK cells: a block's
+    # candidates row[c - w] + gain go into buf before the block is written,
+    # and every cell below the block still holds the previous layer's value,
+    # so the floats and ties match a full-row update.
+    active = [i for i in range(n) if units[i] <= cap and gains[i] >= 0]
+    below = sum(units[i] for i in active)
     row = np.zeros(cap + 1, dtype=np.float64)
     buf = np.empty(min(_ROW_BLOCK, cap + 1), dtype=np.float64)
-    upgrade = np.zeros(cap + 1, dtype=bool)
-    take = np.zeros((n, (cap + 8) // 8), dtype=np.uint8)
-    for i in range(n - 1, -1, -1):
+    take = [(cap + 1, cap + 1, None)] * n
+    top, full = 0, 0.0
+    for i in reversed(active):
         w = units[i]
-        if w > cap or gains[i] < 0:
-            continue
-        upgrade[:w] = False
-        for hi in range(cap + 1, w, -buf.size):
-            lo = max(hi - buf.size, w)
-            cand = np.add(row[lo - w:hi - w], gains[i], out=buf[:hi - lo])
-            np.greater_equal(cand, row[lo:hi], out=upgrade[lo:hi])
-            np.maximum(row[lo:hi], cand, out=row[lo:hi])
-        take[i] = np.packbits(upgrade)
+        below -= w
+        lo, hi = max(w, cap - below), min(cap + 1, top + w)
+        row[top:hi] = full
+        upgrade = np.empty(max(hi - lo, 0), dtype=bool)
+        for b_hi in range(hi, lo, -buf.size):
+            b_lo = max(b_hi - buf.size, lo)
+            cand = np.add(row[b_lo - w:b_hi - w], gains[i], out=buf[:b_hi - b_lo])
+            np.greater_equal(cand, row[b_lo:b_hi], out=upgrade[b_lo - lo:b_hi - lo])
+            np.maximum(row[b_lo:b_hi], cand, out=row[b_lo:b_hi])
+        take[i] = lo, hi, np.packbits(upgrade)
+        top += w
+        full += gains[i]
 
-    # np.packbits puts entry c in byte c // 8, most significant bit first
+    # np.packbits puts cell c in byte (c - lo) // 8, most significant bit first
     plan = []
     c = cap
-    for i in range(n):
-        if take[i, c >> 3] >> (7 - (c & 7)) & 1:
+    for i, (lo, hi, bits) in enumerate(take):
+        if c >= hi or (c >= lo and bits[(c - lo) >> 3] >> (7 - ((c - lo) & 7)) & 1):
             plan.append(BIT_HIGH)
             c -= units[i]
         else:
@@ -184,17 +205,17 @@ class PlannerConfig:
         if self.ratio is None and self.limit_bits is None:
             object.__setattr__(self, "ratio", 0.5)
         if abs(self.beta + self.gamma - 1.0) > 1e-9:
-            raise ConfigError(f"planner.beta + planner.gamma must equal 1, got {self.beta} + {self.gamma}")
+            raise RangeError("{at}beta + {at}gamma must equal 1, got {} + {}", self.beta, self.gamma)
         if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"planner.beta must lie in [0, 1], got {self.beta}")
+            raise RangeError("{at}beta must lie in [0, 1], got {}", self.beta)
         if self.ratio is not None and self.limit_bits is not None:
-            raise ConfigError("set only one of planner.ratio and planner.limit_bits")
+            raise RangeError("set only one of {at}ratio and {at}limit_bits")
         if self.ratio is not None and not 0.0 <= self.ratio <= 1.0:
-            raise ConfigError(f"planner.ratio must lie in [0, 1], got {self.ratio}")
+            raise RangeError("{at}ratio must lie in [0, 1], got {}", self.ratio)
         if self.limit_bits is not None and self.limit_bits < 0:
-            raise ConfigError(f"planner.limit_bits must be non-negative, got {self.limit_bits}")
+            raise RangeError("{at}limit_bits must be non-negative, got {}", self.limit_bits)
         if self.activation_bits not in ("plan", "8"):
-            raise ConfigError(f"planner.activation_bits must be 'plan' or '8', got {self.activation_bits!r}")
+            raise RangeError("{at}activation_bits must be 'plan' or '8', got {!r}", self.activation_bits)
 
 
 def resolve_limit(config: PlannerConfig, sizes4, sizes8) -> int:

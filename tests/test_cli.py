@@ -533,6 +533,43 @@ class TestExitCodes:
         producer = {cli.ART_PROFILE_JSON: "profile", cli.ART_PLAN: "plan"}[artifact]
         assert artifact in err and f"{key}: " in err and f"rerun `mixbit {producer}`" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["config"].update(lanes=3), "config.lanes must be a power of 2, got 3"),
+        (lambda d: d["config"].update(coe_o=0), "config.coe_o must be a positive integer, got 0"),
+        (lambda d: d["config"].update(static_power=-1.0),
+         "config.static_power must be finite and non-negative, got -1.0"),
+    ], ids=["lanes_3", "coe_o_0", "negative_static_power"])
+    @pytest.mark.parametrize("command", ["plan", "eval"])
+    def test_stored_range_error_names_the_artifact_key(self, light_config, pipeline_run, tmp_path, capsys,
+                                                       edit, message, command):
+        # a section's own range check names the key profile.json stores it
+        # under, not the config file's hardware.* key
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_PROFILE_JSON).read_text())
+        edit(doc)
+        (out / cli.ART_PROFILE_JSON).write_text(json.dumps(doc))
+        assert cli.main([command, "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "hardware." not in err and cli.ART_PROFILE_JSON in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"hardware": {"lanes": 3}}', "hardware.lanes must be a power of 2, got 3"),
+        ('{"hardware": {"coe_w": 0}}', "hardware.coe_w must be a positive integer, got 0"),
+        ('{"planner": {"beta": 0.7, "gamma": 0.5}}', "planner.beta + planner.gamma must equal 1, got 0.7 + 0.5"),
+        ('{"planner": {"ratio": 0.5, "limit_bits": 10}}', "set only one of planner.ratio and planner.limit_bits"),
+        ('{"planner": {"activation_bits": "4"}}', "planner.activation_bits must be 'plan' or '8', got '4'"),
+        ('{"sensitivity": {"naive_bits": 5}}', "sensitivity.naive_bits must be one of [4, 8, 32], got 5"),
+        ('{"distill": {"steps": 0}}', "distill.steps must be >= 1, got 0"),
+        ('{"eval": {"noise": -1}}', "eval.noise must be finite and non-negative, got -1.0"),
+        ('{"seed": -1}', "seed must be non-negative, got -1"),
+    ])
+    def test_config_range_error_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["plan", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_bad_config_value_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"planner": {"ratio": 2.5}}))
@@ -656,6 +693,22 @@ class TestBuild:
                 errors.build(cli.EvalConfig, {**full, "bogus": 1}, "eval.", defaults)
             with pytest.raises(errors.ConfigError, match=r"^eval\.samples: expected an integer, got true$"):
                 errors.build(cli.EvalConfig, {**full, "samples": True}, "eval.", defaults)
+
+
+    def test_checked_reads_a_boolean_hint(self):
+        assert errors.checked(True, bool, "x") is True
+        assert errors.checked(None, bool | None, "x") is None
+        for bad in (1, 0.0, "true", None):
+            with pytest.raises(errors.ConfigError, match=r"^x: expected a boolean, got "):
+                errors.checked(bad, bool, "x")
+
+    def test_range_error_takes_the_path_it_was_built_under(self):
+        with pytest.raises(errors.ConfigError, match=r"^beta \+ gamma must equal 1, got 0.7 \+ 0.5$"):
+            planner.PlannerConfig(beta=0.7, gamma=0.5)
+        for path in ("", "planner.", "plan.planner."):
+            with pytest.raises(errors.ConfigError) as info:
+                errors.build(planner.PlannerConfig, {"beta": 0.7, "gamma": 0.5}, path, {})
+            assert str(info.value) == f"{path}beta + {path}gamma must equal 1, got 0.7 + 0.5"
 
 
 class TestLoadConfig:

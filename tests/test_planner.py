@@ -162,6 +162,30 @@ def _check_against_full_table(gcd):
             assert got.solver_cells == (n + 1) * (units + 1)
 
 
+# name -> (scores, sizes4, sizes8, limits in bits): instances at the edges of
+# the cells each layer updates
+_EDGE_INSTANCES = {
+    # room for every upgrade: the traceback reads no take bit, every cell it
+    # meets lies in the saturated top
+    "every_upgrade_fits": ([0.5, 0.25, 1.0, 0.0, 0.75], [12, 20, 8, 40, 28], [24, 40, 16, 80, 56],
+                           (216, 217, 300)),
+    # no headroom at all (cap = 0), with and without a zero-cost upgrade
+    "zero_budget": ([0.5, 1.0, 0.25], [8, 12, 4], [16, 24, 8], (24, 27)),
+    "zero_budget_zero_cost": ([0.5, 0.0, 1.0], [8, 12, 4], [16, 12, 8], (24, 27)),
+    # layer 1 costs more than the budget, between layers that fit
+    "costly_layer_between": ([0.5, 2.0, 0.25, 1.0], [8, 400, 12, 4], [16, 800, 24, 8],
+                             (424, 436, 448, 820, 824)),
+    # upgrades that cost nothing, one of them with a negative score
+    "zero_cost_layers": ([0.5, 0.0, 0.25, -0.5, 1.0, 0.0], [8, 20, 12, 20, 4, 6], [16, 20, 24, 20, 8, 6],
+                         (70, 78, 82, 94, 100)),
+    # a negative score before and after the costliest layer
+    "negative_before_largest": ([-0.5, 0.75, 1.0, 0.25], [8, 160, 12, 4], [16, 320, 24, 8],
+                                (184, 200, 344, 352, 368)),
+    "negative_after_largest": ([0.75, 1.0, -0.5, 0.25], [8, 160, 12, 4], [16, 320, 24, 8],
+                               (184, 200, 344, 352, 368)),
+}
+
+
 class TestSolveBitplan:
     def test_worked_example(self):
         # elems 10/20/30 -> upgrade costs 40/80/120 bits, gains 3.6/0.4/2.0;
@@ -219,6 +243,14 @@ class TestSolveBitplan:
         with pytest.raises(ConfigError):
             planner.solve_bitplan([], [], [], limit_bits=0)
 
+    def test_non_finite_scores_rejected(self):
+        # a NaN gain would break the saturated top's running sum; no plan is
+        # meaningful for it
+        for bad in (np.nan, np.inf, -np.inf):
+            for scores in ([bad, 1.0], [1.0, bad]):
+                with pytest.raises(ConfigError, match="finite"):
+                    planner.solve_bitplan(scores, [8, 8], [16, 16], 24)
+
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(7)
         solved = 0
@@ -255,21 +287,36 @@ class TestSolveBitplan:
         monkeypatch.setattr(planner, "_ROW_BLOCK", row_block)
         _check_against_full_table(gcd)
 
-    @pytest.mark.parametrize("extra, unit_bits, peak_mb", [
-        pytest.param(0, 256, 50, id="False-50"),
-        pytest.param(2, 8, 300, id="True-300"),
-        pytest.param(1, 4, 220, id="9409-220"),
+    @pytest.mark.parametrize("scores, sizes4, sizes8, limits",
+                             [pytest.param(*case, id=name) for name, case in _EDGE_INSTANCES.items()])
+    def test_edge_instances_match_full_table_reference(self, monkeypatch, scores, sizes4, sizes8, limits):
+        for row_block in (1, 3, planner._ROW_BLOCK):
+            monkeypatch.setattr(planner, "_ROW_BLOCK", row_block)
+            for limit in limits:
+                got = planner.solve_bitplan(scores, sizes4, sizes8, limit)
+                assert (got.weight_bits, got.objective, got.achieved_size_bits) == \
+                    _full_table_plan(scores, sizes4, sizes8, limit)
+
+    @pytest.mark.parametrize("extra, unit_bits, peak_mb, positive", [
+        pytest.param(0, 256, 50, False, id="False-50"),
+        pytest.param(2, 8, 300, False, id="True-300"),
+        pytest.param(1, 4, 220, False, id="9409-220"),
+        pytest.param(1, 4, 150, False, id="9409-150"),
+        pytest.param(1, 4, 150, True, id="9409-positive-150"),
     ])
-    def test_resnet50_memory(self, extra, unit_bits, peak_mb):
+    def test_resnet50_memory(self, extra, unit_bits, peak_mb, positive):
         # every ResNet-50 upgrade cost is a multiple of 256 bits (32 bytes), so
         # the solver keeps budget // 256 + 1 floats per row, budget in bits; two
         # more weights in one layer give it an odd cost in bytes (gcd 8 bits),
         # one more an odd weight count (gcd 4 bits, 701 M cells), and the row
-        # then spans every byte or half-byte of budget
+        # then spans every byte or half-byte of budget. With the scores'
+        # absolute values no layer is skipped and every layer keeps take bits.
         counts = _resnet50_weights()
         counts[0] += extra
         n = len(counts)
         scores = np.random.default_rng(0).standard_normal(n)
+        if positive:
+            scores = np.abs(scores)
         sizes4 = [4 * c for c in counts]
         sizes8 = [8 * c for c in counts]
         limit = planner.resolve_limit(planner.PlannerConfig(ratio=0.5), sizes4, sizes8)
