@@ -194,13 +194,14 @@ def _write_json(path: Path, doc: dict) -> None:
 def _read_artifact(path: Path, produced_by: str, parse=None):
     """Load a stage artifact, passed through parse(doc) when given.
 
-    A missing file, malformed JSON, or content that parse rejects raises
-    ConfigError naming the file and the command that regenerates it.
+    A missing file, malformed JSON, a document that is not a JSON object, or
+    content that parse rejects raises ConfigError naming the file and the
+    command that regenerates it.
     """
     if not path.exists():
         raise ConfigError(f"missing artifact {path.name}: run `mixbit {produced_by}` first")
     try:
-        doc = json.loads(path.read_text())
+        doc = checked(json.loads(path.read_text()), dict, "top level")
         return doc if parse is None else parse(doc)
     except (OSError, ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
         raise ConfigError(f"malformed artifact {path.name} ({exc!r}): "
@@ -246,7 +247,7 @@ def _load_distilled(cfg: PipelineConfig) -> np.ndarray:
 
     def parse(doc: dict) -> np.ndarray:
         blob = out / checked(doc["blob"], str, "blob")
-        shape = [checked(v, int, "shape") for v in checked(doc["shape"], list, "shape")]
+        shape = checked(doc["shape"], list[int], "shape")
         flat = np.frombuffer(blob.read_bytes(), dtype="<f4")
         if flat.size != math.prod(shape):
             raise ValueError(f"{blob.name} holds {flat.size} values, shape {shape} needs {math.prod(shape)}")
@@ -268,11 +269,11 @@ def _load_profile(cfg: PipelineConfig) -> HwProfile:
 def _load_plan(cfg: PipelineConfig) -> tuple[PlannerConfig, PlanResult]:
     """plan.json as the planner section it was solved with and the plan it holds."""
     def parse(doc: dict) -> tuple[PlannerConfig, PlanResult]:
-        wb = doc["weight_bits"]
-        if type(wb) is not list or any(type(b) is not int or b not in (BIT_LOW, BIT_HIGH) for b in wb):
-            raise ConfigError(f"weight_bits must be a list of {BIT_LOW} and {BIT_HIGH}, got {json.dumps(wb)}")
-        planner_cfg = build(PlannerConfig, doc.pop("planner", None), "planner.")
-        return planner_cfg, build(PlanResult, doc)
+        planner_doc = doc.pop("planner", None)
+        plan = build(PlanResult, doc)
+        if any(b not in (BIT_LOW, BIT_HIGH) for b in plan.weight_bits):
+            raise ConfigError(f"weight_bits must be a list of {BIT_LOW} and {BIT_HIGH}, got {plan.weight_bits}")
+        return build(PlannerConfig, planner_doc, "planner."), plan
 
     return _read_artifact(_out(cfg) / ART_PLAN, "plan", parse)
 

@@ -5,6 +5,7 @@ infeasible hardware or size limits exit 3, numeric failures exit 4.
 """
 
 import dataclasses
+import functools
 import json
 import typing
 
@@ -66,15 +67,21 @@ class InfeasiblePlanError(MixbitError):
     """Size limit below the smallest achievable model size."""
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list"}
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", list: "a list",
+               dict: "an object"}
 
 
 def checked(value, hint, where: str):
     """value if its JSON type matches the type hint, else ConfigError naming `where`.
 
-    hint is int, float, str, bool or list, optionally `| None`. bool is not an int,
-    and an int widens to float where a float is expected.
+    hint is int, float, str, bool, list or dict, optionally `| None`, or
+    list[T], whose elements are each checked against T under the same
+    `where`. bool is not an int, and an int widens to float where a float is
+    expected. Any other hinted class, such as the weight arrays load_model
+    merges into a layer's header, passes only a value of exactly that class.
     """
+    if typing.get_origin(hint) is list:
+        return [checked(v, typing.get_args(hint)[0], where) for v in checked(value, list, where)]
     kinds = typing.get_args(hint) or (hint,)
     if value is None and type(None) in kinds:
         return None
@@ -86,6 +93,10 @@ def checked(value, hint, where: str):
     return value
 
 
+# each class's field hints, evaluated once: a model load builds every layer
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def build(cls, doc, path: str = "", defaults: dict | None = None):
     """Dataclass cls from the JSON object doc, each value through `checked`; errors name path + key.
 
@@ -95,7 +106,7 @@ def build(cls, doc, path: str = "", defaults: dict | None = None):
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path.rstrip('.')}: must be a JSON object, got {json.dumps(doc)}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     names = [f.name for f in dataclasses.fields(cls)]
     for key in doc:
         if key not in names:

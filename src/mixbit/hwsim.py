@@ -330,7 +330,7 @@ class HwProfile:
 
             cost = LayerCost(*(field(k) for k in ("compute", "transfer", "write_back", "post_process")),
                              energy=field("energy", float), tile=field("tile"),
-                             dims=tuple(checked(v, int, f"rows[{pos}].dims") for v in field("dims", list)))
+                             dims=tuple(field("dims", list[int])))
             if field("total_cycles") != cost.total_cycles:
                 raise ConfigError(f"rows[{pos}].total_cycles: {r['total_cycles']} is not the sum of "
                                   f"its four steps, {cost.total_cycles}")
@@ -347,7 +347,7 @@ class HwProfile:
         return cls(
             config=config,
             bram=bram,
-            candidates=tuple(checked(b, int, "candidates") for b in checked(d["candidates"], list, "candidates")),
+            candidates=tuple(checked(d["candidates"], list[int], "candidates")),
             rows=rows,
         )
 

@@ -27,10 +27,13 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
+    ConfigError,
     ModelFormatError,
     NumericFailureError,
     ShapeMismatchError,
     UnsupportedLayerError,
+    build,
+    checked,
 )
 
 MODEL_FORMAT = "mixbit-model"
@@ -53,8 +56,8 @@ class Conv2d:
     kernel_w: int
     stride: int = 1
     padding: int = 0
-    weight: np.ndarray = None
-    bias: np.ndarray = None
+    weight: np.ndarray | None = None
+    bias: np.ndarray | None = None
 
     kind = "conv2d"
     params = ("weight", "bias")
@@ -65,10 +68,10 @@ class BatchNorm:
     """Inference-mode batch norm; running statistics are fixed parameters."""
 
     channels: int
-    running_mean: np.ndarray = None
-    running_var: np.ndarray = None
-    gamma: np.ndarray = None
-    beta: np.ndarray = None
+    running_mean: np.ndarray | None = None
+    running_var: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+    beta: np.ndarray | None = None
     eps: float = 1e-5
 
     kind = "batch_norm"
@@ -94,8 +97,8 @@ class AvgPool:
 class Linear:
     in_features: int
     out_features: int
-    weight: np.ndarray = None
-    bias: np.ndarray = None
+    weight: np.ndarray | None = None
+    bias: np.ndarray | None = None
 
     kind = "linear"
     params = ("weight", "bias")
@@ -406,11 +409,11 @@ def _check_batch(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
     return b
 
 
-def _channel_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # population statistics, accumulated in float64
+def _channel_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # population mean and std, accumulated in float64, and the float64 centered input
     m = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    var = np.square(x.astype(np.float64) - m[None, :, None, None]).mean(axis=(0, 2, 3))
-    return m, np.sqrt(var)
+    centered = x.astype(np.float64) - m[None, :, None, None]
+    return m, np.sqrt(np.square(centered).mean(axis=(0, 2, 3))), centered
 
 
 def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
@@ -427,7 +430,7 @@ def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
     if record:
         means, stds = {}, {}
         for i in bn_layers(model):
-            means[i], stds[i] = _channel_stats(acts[i])
+            means[i], stds[i] = _channel_stats(acts[i])[:2]
         trace = ForwardTrace(activations=acts, bn_means=means, bn_stds=stds)
     return acts[-1], trace
 
@@ -512,29 +515,27 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
     batch = _check_batch(model, batch)
     last = max(targets)
     acts = run_layers(ModelGraph(model.layers[:last], model.input_shape, model.class_count), batch)
-    means, stds = {}, {}
-    for i in targets:
-        means[i], stds[i] = _channel_stats(acts[i])
-    trace = ForwardTrace([], means, stds)
-    if not backward:
-        return trace, None
     # grads[i] is the loss gradient at acts[i], None until a term reaches it;
     # a first term is stored as is, which equals 0 + term except that a -0.0
     # entry keeps its sign
     grads = [None] * len(acts)
+    means, stds = {}, {}
+    for i, (u, sig) in targets.items():
+        means[i], stds[i], centered = _channel_stats(acts[i])
+        if backward:
+            # the direct statistic term dm + ds * centered, computed in place
+            nhw = centered.shape[0] * centered.shape[2] * centered.shape[3]
+            dm = 2.0 * (means[i] - u) / nhw
+            ds = 2.0 * (stds[i] - sig) / (nhw * np.maximum(stds[i], 1e-12))
+            centered *= ds[None, :, None, None]
+            centered += dm[None, :, None, None]
+            grads[i] = centered.astype(np.float32)
+    trace = ForwardTrace([], means, stds)
+    if not backward:
+        return trace, None
 
     def add(i, g):
         grads[i] = g if grads[i] is None else grads[i] + g
-
-    # direct statistic terms at each BN input
-    for i, (u, sig) in targets.items():
-        x, m, s = acts[i], means[i], stds[i]
-        du, dsig = m - u, s - sig
-        nhw = x.shape[0] * x.shape[2] * x.shape[3]
-        dm = 2.0 * du / nhw
-        ds = 2.0 * dsig / (nhw * np.maximum(s, 1e-12))
-        term = dm[None, :, None, None] + ds[None, :, None, None] * (x.astype(np.float64) - m[None, :, None, None])
-        add(i, term.astype(np.float32))
 
     for i in range(last - 1, -1, -1):
         g = grads[i + 1]
@@ -615,38 +616,16 @@ def save_model(model: ModelGraph, path) -> Path:
     return path
 
 
-# JSON types a header value may have, by field annotation; integers widen to float
-_HEADER_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
-
-
-def _natural(v) -> bool:
-    return type(v) is int and v >= 0
-
-
-def _checked_header(cls, header: dict, where: str) -> dict:
-    """header with exactly cls's non-param fields as keys, each value of its field's JSON type."""
-    out = {}
-    for f in _header_fields(cls):
-        if f.name not in header:
-            raise ModelFormatError(f"{where}: missing key {f.name!r}")
-        value = header.pop(f.name)
-        accepted, noun = _HEADER_TYPES[f.type]
-        if type(value) not in accepted:
-            raise ModelFormatError(f"{where}: {f.name} must be {noun}, got {json.dumps(value)}")
-        out[f.name] = float(value) if f.type == "float" else value
-    if header:
-        raise ModelFormatError(f"{where}: unknown key {next(iter(header))!r}")
-    return out
-
-
 def load_model(path) -> ModelGraph:
     """Load a manifest + blob pair written by save_model.
 
-    Each layer is KINDS[kind](**header, **params). Header keys must be
-    exactly the kind's non-param fields, each of its field's JSON type
-    (integer fields reject bools, floats and strings); params must be the
-    kind's own and lie inside the blob. Violations raise ModelFormatError
-    naming the layer and the key, and the loaded graph is then validated.
+    The manifest's version must be MODEL_FORMAT_VERSION and its blob a file
+    name. Each layer is errors.build(KINDS[kind], header + param arrays):
+    header keys must be exactly the kind's non-param fields, each of its
+    field's JSON type (integer fields reject bools, floats and strings);
+    params must be the kind's own and lie inside the blob. Violations raise
+    ModelFormatError naming the layer and the key, and the loaded graph is
+    then validated.
     """
     path = Path(path)
     try:
@@ -655,39 +634,46 @@ def load_model(path) -> ModelGraph:
         raise ModelFormatError(f"cannot read model manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} manifest")
-    blob_file = path.parent / str(manifest.get("blob", ""))
     try:
-        raw = blob_file.read_bytes()
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read weight blob {blob_file}: {exc}") from exc
-    flat = np.frombuffer(raw, dtype="<f4")
-    layers = []
-    try:
-        for i, entry in enumerate(manifest["layers"]):
-            if not isinstance(entry, dict):
-                raise ModelFormatError(f"layer {i} in {path} is not a JSON object")
+        version = checked(manifest["version"], int, f"{path}: version")
+        if version != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"{path}: version must be {MODEL_FORMAT_VERSION}, got {version}")
+        blob_file = path.parent / checked(manifest["blob"], str, f"{path}: blob")
+        try:
+            flat = np.frombuffer(blob_file.read_bytes(), dtype="<f4")
+        except OSError as exc:
+            raise ModelFormatError(f"cannot read weight blob {blob_file}: {exc}") from exc
+        layers = []
+        for i, entry in enumerate(checked(manifest["layers"], list[dict], f"{path}: layers")):
             header = dict(entry)
             kind = header.pop("kind", None)
             cls = KINDS.get(kind)
             if cls is None:
                 raise UnsupportedLayerError(f"layer {i}: unknown layer kind {kind!r}")
             where = f"layer {i} ({kind}) in {path}"
-            values = {}
-            for p in header.pop("params", []):
-                name, shape, lo, n = p["name"], p["shape"], p["offset"], p["count"]
+            arrays = dict.fromkeys(cls.params)
+            for p in checked(header.pop("params", []), list[dict], f"{where}: params"):
+                name = checked(p["name"], str, f"{where}: params.name")
+                shape = checked(p["shape"], list[int], f"{where}: {name}.shape")
+                lo = checked(p["offset"], int, f"{where}: {name}.offset")
+                n = checked(p["count"], int, f"{where}: {name}.count")
                 if name not in cls.params:
                     raise ModelFormatError(f"{where}: unknown param {name!r}")
-                if not (_natural(lo) and _natural(n) and isinstance(shape, list)
-                        and all(map(_natural, shape)) and math.prod(shape) == n):
+                if min(lo, n, *shape) < 0 or math.prod(shape) != n:
                     raise ModelFormatError(f"{where}: param {name!r} has an inconsistent shape, offset or count")
                 if lo + n > flat.size:
                     raise ModelFormatError(f"weight blob too short for {name} in {path}")
-                values[name] = flat[lo:lo + n].reshape(shape).astype(np.float32)
-            layers.append(cls(**_checked_header(cls, header, where), **values))
-        input_shape = tuple(manifest["input_shape"])
-        if not all(map(_natural, input_shape)) or not _natural(manifest["class_count"]):
-            raise ModelFormatError(f"{path}: input_shape and class_count must be non-negative integers")
-        model = ModelGraph(layers=layers, input_shape=input_shape, class_count=manifest["class_count"])
+                arrays[name] = flat[lo:lo + n].reshape(shape).astype(np.float32)
+            if clash := header.keys() & arrays.keys():
+                raise ModelFormatError(f"{where}: {min(clash)}: unknown key")
+            layers.append(build(cls, {**header, **arrays}, f"{where}: "))
+        input_shape = checked(manifest["input_shape"], list[int], f"{path}: input_shape")
+        class_count = checked(manifest["class_count"], int, f"{path}: class_count")
+        if min(class_count, *input_shape) < 0:
+            raise ModelFormatError(f"{path}: input_shape and class_count must be non-negative")
+        model = ModelGraph(layers=layers, input_shape=tuple(input_shape), class_count=class_count)
+    except ConfigError as exc:
+        raise ModelFormatError(str(exc)) from None
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"malformed model manifest {path}: {exc}") from exc
     validate_model(model)

@@ -56,7 +56,7 @@ def omega(w_hat, c_hat, e_hat, beta: float, gamma: float) -> np.ndarray:
 class PlanResult:
     """Chosen per-layer weight bits plus solver accounting."""
 
-    weight_bits: list
+    weight_bits: list[int]
     objective: float
     achieved_size_bits: int
     limit_bits: int

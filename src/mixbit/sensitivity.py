@@ -9,13 +9,13 @@ instead of requantizing the network per layer the way the slow oracle does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import model as m
 from . import quant
-from .errors import ConfigError, checked
+from .errors import ConfigError, build, checked
 
 KL_EPS = 1e-12
 
@@ -98,26 +98,12 @@ class SensitivityReport:
     bits: int
 
     def to_dict(self) -> dict:
-        return {
-            "omega": [float(v) for v in self.omega],
-            "batch_size": self.batch_size,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "method": self.method,
-            "bits": self.bits,
-        }
+        return {**asdict(self), "omega": self.omega.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensitivityReport":
-        return cls(
-            omega=np.asarray([checked(v, float, "omega") for v in checked(d["omega"], list, "omega")],
-                             dtype=np.float64),
-            batch_size=checked(d["batch_size"], int, "batch_size"),
-            alpha=checked(d["alpha"], float | None, "alpha"),
-            seed=checked(d["seed"], int | None, "seed"),
-            method=checked(d["method"], str, "method"),
-            bits=checked(d["bits"], int, "bits"),
-        )
+        omega = np.asarray(checked(d["omega"], list[float], "omega"), dtype=np.float64)
+        return build(cls, {**d, "omega": omega})
 
 
 def _mean_kl(base_probs: np.ndarray, probs: np.ndarray) -> float:

@@ -516,6 +516,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert artifact in err and message in err
 
+    @pytest.mark.parametrize("artifact, text, command", [
+        (cli.ART_PROFILE_JSON, "[1]", "plan"),
+        (cli.ART_PLAN, '"x"', "quantize"),
+        (cli.ART_SENSITIVITY, "5", "plan"),
+    ], ids=["profile_list", "plan_string", "sensitivity_number"])
+    def test_artifact_that_is_not_an_object_exits_2(self, light_config, pipeline_run, tmp_path, capsys,
+                                                    artifact, text, command):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        (out / artifact).write_text(text)
+        assert cli.main([command, "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert artifact in err and f"top level: expected an object, got {text}" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(bogus=1), "bogus: unknown key"),
+        (lambda d: d.pop("bits"), "bits: missing key"),
+    ], ids=["unknown_key", "missing_key"])
+    def test_sensitivity_keys_are_the_reports_fields(self, light_config, pipeline_run, tmp_path, capsys,
+                                                     edit, message):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_SENSITIVITY).read_text())
+        edit(doc)
+        (out / cli.ART_SENSITIVITY).write_text(json.dumps(doc))
+        assert cli.main(["plan", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert cli.ART_SENSITIVITY in err and message in err and "rerun `mixbit sense`" in err
+
     @pytest.mark.parametrize("artifact, edit, key, command", [
         pytest.param(artifact, edit, key, command, id=f"{name}-{command}")
         for name, (artifact, edit, key, commands) in _STORED_SECTION_MUTATIONS.items() for command in commands
@@ -605,7 +634,7 @@ class TestExitCodes:
         (0, lambda e: e.update(in_channels=4), "layer 0: conv expects 4 channels"),
         (1, lambda e: e["params"][0].update(shape=[2, 4]),
          "layer 1: batch norm running_mean must have shape (8,)"),
-        (0, lambda e: e.update(stride="1"), 'stride must be an integer, got "1"'),
+        (0, lambda e: e.update(stride="1"), 'stride: expected an integer, got "1"'),
         (1, lambda e: e.update(eps=-1.0), "layer 1: batch norm eps must be finite and non-negative"),
         (1, lambda e: e.update(eps=-100.0), "layer 1: batch norm eps must be finite and non-negative"),
         (1, lambda e: e.update(eps=float("nan")), "layer 1: batch norm eps must be finite and non-negative"),
@@ -701,6 +730,17 @@ class TestBuild:
         for bad in (1, 0.0, "true", None):
             with pytest.raises(errors.ConfigError, match=r"^x: expected a boolean, got "):
                 errors.checked(bad, bool, "x")
+
+    def test_checked_reads_a_typed_list(self):
+        assert errors.checked([1, 2], list[int], "x") == [1, 2]
+        widened = errors.checked([1, 2.5], list[float], "x")
+        assert widened == [1.0, 2.5] and type(widened[0]) is float
+        for bad in ([1, True], [1.0]):
+            with pytest.raises(errors.ConfigError, match=r"^x: expected an integer, got "):
+                errors.checked(bad, list[int], "x")
+        for bad in ("[1]", 1, None, {"x": 1}):
+            with pytest.raises(errors.ConfigError, match=r"^x: expected a list, got "):
+                errors.checked(bad, list[int], "x")
 
     def test_range_error_takes_the_path_it_was_built_under(self):
         with pytest.raises(errors.ConfigError, match=r"^beta \+ gamma must equal 1, got 0.7 \+ 0.5$"):

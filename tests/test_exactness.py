@@ -109,7 +109,7 @@ def _zero_initialized_gradient(net, x):
     acts = m.run_layers(net, x)
     grads = [np.zeros_like(a) for a in acts]
     for i, (u, sig) in m.bn_targets(net).items():
-        mean, std = m._channel_stats(acts[i])
+        mean, std = m._channel_stats(acts[i])[:2]
         nhw = acts[i].shape[0] * acts[i].shape[2] * acts[i].shape[3]
         dm = 2.0 * (mean - u) / nhw
         ds = 2.0 * (std - sig) / (nhw * np.maximum(std, 1e-12))

@@ -28,11 +28,23 @@ class TestPinnedBytes:
     """
 
     def test_model_manifest_and_blob(self, tmp_path):
+        # The manifest and the seeded weight draws are the same bytes under every
+        # OpenBLAS kernel. The BatchNorm running statistics are frozen from recorded
+        # forward passes, whose float32 GEMMs sum in the kernel's order, so the whole
+        # blob is pinned once per kernel family.
         path = m.save_model(zoo.toy_cnn(0), tmp_path / "model.json")
         assert _sha256(path.read_bytes()) == \
             "396ec0c5726cedb78ff54df509b5f63b2195477fdd60c56a67d3df750f85535a"
-        assert _sha256(m.blob_path_for(path).read_bytes()) == \
-            "c48b666b366abd16e085cf34ed126857fda043df82847cf41110f1ee237dd467"
+        blob = m.blob_path_for(path).read_bytes()
+        drawn = b"".join(blob[4 * p["offset"]:4 * (p["offset"] + p["count"])]
+                         for layer in json.loads(path.read_text())["layers"] for p in layer["params"]
+                         if p["name"] not in ("running_mean", "running_var"))
+        assert _sha256(drawn) == "38ead2a84e4c035274a86668e461d75a04382675841f82deceb9dd541f09b820"
+        assert _sha256(blob) in (
+            "c48b666b366abd16e085cf34ed126857fda043df82847cf41110f1ee237dd467",  # SkylakeX
+            "5f12cd978ddc51050dc7d272042963a278882b576b976db50604e3123e3d7d2a",  # Haswell, Zen
+            "67f7c58478326f622a5615893507f0001b7c3c23a3e4bf82c7941bdb0e880b40",  # Sandybridge, Nehalem, Katmai
+        )
 
     def test_profile_json_and_csv(self, tmp_path):
         prof = hwsim.profile_model(zoo.toy_cnn(0), (4, 8, 32))

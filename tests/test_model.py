@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -344,6 +346,30 @@ class TestSerialization:
         doc["layers"][2]["kind"] = "swish"
         path.write_text(json.dumps(doc))
         with pytest.raises(UnsupportedLayerError):
+            m.load_model(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("version", 2, "version must be 1, got 2"),
+        ("version", "x", 'version: expected an integer, got "x"'),
+        ("blob", None, "blob: expected a string, got null"),
+        ("blob", 5, "blob: expected a string, got 5"),
+    ], ids=["version2", "string_version", "null_blob", "int_blob"])
+    def test_version_and_blob_are_checked(self, tmp_path, key, value, message):
+        path = m.save_model(zoo.tiny_cnn(0), tmp_path / "net.json")
+        # the blob under the name str(value) would load if the value were coerced
+        shutil.copy(m.blob_path_for(path), tmp_path / str(value))
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            m.load_model(path)
+
+    def test_param_name_is_not_a_header_key(self, tmp_path):
+        path = m.save_model(zoo.tiny_cnn(0), tmp_path / "net.json")
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["bias"] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=r"layer 0 \(conv2d\) in .*: bias: unknown key"):
             m.load_model(path)
 
     def test_wrong_format_marker(self, tmp_path):
