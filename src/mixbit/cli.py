@@ -259,8 +259,8 @@ def _load_distilled(cfg: PipelineConfig) -> np.ndarray:
 def _load_profile(cfg: PipelineConfig) -> HwProfile:
     def parse(doc: dict) -> HwProfile:
         profile = HwProfile.from_dict(doc)
-        if profile.candidates != quant.BIT_CHOICES:  # the bit-widths stage_profile costs
-            raise ConfigError(f"candidates {list(profile.candidates)} are not {list(quant.BIT_CHOICES)}")
+        if profile.candidates != list(quant.BIT_CHOICES):  # the bit-widths stage_profile costs
+            raise ConfigError(f"candidates {profile.candidates} are not {list(quant.BIT_CHOICES)}")
         return profile
 
     return _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", parse)

@@ -74,18 +74,26 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "a b
 def checked(value, hint, where: str):
     """value if its JSON type matches the type hint, else ConfigError naming `where`.
 
-    hint is int, float, str, bool, list or dict, optionally `| None`, or
-    list[T], whose elements are each checked against T under the same
-    `where`. bool is not an int, and an int widens to float where a float is
-    expected. Any other hinted class, such as the weight arrays load_model
-    merges into a layer's header, passes only a value of exactly that class.
+    hint is int, float, str, bool, list, dict or a dataclass, optionally
+    `| None`, or list[T]. A dataclass is read by `build` under `where.`, and
+    the elements of a list[T] are each checked against T, under `where[i].`
+    for a dataclass T and under the same `where` otherwise. bool is not an
+    int, and an int widens to float where a float is expected. Any other
+    hinted class, such as the weight arrays load_model merges into a layer's
+    header, passes only a value of exactly that class.
     """
     if typing.get_origin(hint) is list:
-        return [checked(v, typing.get_args(hint)[0], where) for v in checked(value, list, where)]
+        item = typing.get_args(hint)[0]
+        items = checked(value, list, where)
+        if dataclasses.is_dataclass(item):
+            return [build(item, v, f"{where}[{i}].") for i, v in enumerate(items)]
+        return [checked(v, item, where) for v in items]
     kinds = typing.get_args(hint) or (hint,)
     if value is None and type(None) in kinds:
         return None
     kind = kinds[0]
+    if dataclasses.is_dataclass(kind):
+        return build(kind, value, f"{where}.")
     if kind is float and type(value) is int:
         return float(value)
     if type(value) is not kind:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model as m
 from . import quant
-from .errors import ConfigError, InfeasibleHardwareError, RangeError, UnsupportedLayerError, build, checked
+from .errors import ConfigError, InfeasibleHardwareError, RangeError, UnsupportedLayerError, build
 
 PROFILE_FORMAT = "mixbit-profile"
 
@@ -201,7 +201,7 @@ class LayerCost:
     post_process: int
     energy: float
     tile: int
-    dims: tuple  # (rows, inner, cols) of the costed matmul
+    dims: list[int]  # [rows, inner, cols] of the costed matmul
 
     @property
     def total_cycles(self) -> int:
@@ -248,7 +248,7 @@ def layer_cost(layer, in_shape: tuple, out_shape: tuple, weight_bits: int, act_b
     lanes_used = min(config.lanes, max(1, _ceil_div(tile * max(weight_bits, act_bits), 8)))
     energy = (config.static_power + config.active_power_per_lane * lanes_used) * total
     return LayerCost(compute=compute, transfer=transfer, write_back=write_back,
-                     post_process=post, energy=energy, tile=tile, dims=(rows, inner, cols))
+                     post_process=post, energy=energy, tile=tile, dims=[rows, inner, cols])
 
 
 # ---------------------------------------------------------------------------
@@ -263,27 +263,24 @@ class ProfileRow:
     weight_elems: int
     cost: LayerCost
 
-    def to_dict(self) -> dict:
-        """The row with its cost's fields and total cycles inlined: one profile.json row."""
-        d = asdict(self)
-        d.update(d.pop("cost"), total_cycles=self.cost.total_cycles)
-        d["dims"] = list(self.cost.dims)
-        return d
 
-
-# profile.csv: a column subset of ProfileRow.to_dict()
+# profile.csv: a row's fields with its cost's fields and total cycles inlined
 _CSV_COLUMNS = ("layer_index", "kind", "bits", "weight_elems", "tile", "compute", "transfer",
                 "write_back", "post_process", "total_cycles", "energy")
 
 
 @dataclass
 class HwProfile:
-    """Per-weighted-layer, per-bit-width cost table, indexed by (layer_index, bits)."""
+    """Per-weighted-layer, per-bit-width cost table, indexed by (layer_index, bits).
+
+    profile.json is {"format": PROFILE_FORMAT} and the fields, each row with
+    its cost nested; total_cycles is derived, so only profile.csv holds it.
+    """
 
     config: HwConfig
     bram: BramAllocation
-    candidates: tuple
-    rows: list
+    candidates: list[int]
+    rows: list[ProfileRow]
 
     def __post_init__(self):
         self._costs = {(r.layer_index, r.bits): r.cost for r in self.rows}
@@ -311,45 +308,20 @@ class HwProfile:
         return np.asarray([getattr(self.cost(i, bits), field) for i in self._elems], dtype=np.float64)
 
     def to_dict(self) -> dict:
-        return {
-            "format": PROFILE_FORMAT,
-            "config": asdict(self.config),
-            "bram": asdict(self.bram),
-            "candidates": list(self.candidates),
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return {"format": PROFILE_FORMAT, **asdict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HwProfile":
         if d.get("format") != PROFILE_FORMAT:
             raise ConfigError("not a profile document")
-        rows = []
-        for pos, r in enumerate(d["rows"]):
-            def field(key, hint=int):
-                return checked(r[key], hint, f"rows[{pos}].{key}")
-
-            cost = LayerCost(*(field(k) for k in ("compute", "transfer", "write_back", "post_process")),
-                             energy=field("energy", float), tile=field("tile"),
-                             dims=tuple(field("dims", list[int])))
-            if field("total_cycles") != cost.total_cycles:
-                raise ConfigError(f"rows[{pos}].total_cycles: {r['total_cycles']} is not the sum of "
-                                  f"its four steps, {cost.total_cycles}")
-            rows.append(ProfileRow(field("layer_index"), field("kind", str), field("bits"),
-                                   field("weight_elems"), cost))
-        config = build(HwConfig, d["config"], "config.")
-        bram = build(BramAllocation, d["bram"], "bram.")
+        profile = build(cls, {k: v for k, v in d.items() if k != "format"})
         try:  # the rows were costed with the buffers config allocates
-            allocated = bram_allocate(config)
+            allocated = bram_allocate(profile.config)
         except InfeasibleHardwareError as exc:
             raise ConfigError(f"bram: config allocates no buffers ({exc})") from exc
-        if bram != allocated:
-            raise ConfigError(f"bram: {asdict(bram)} is not what config allocates: {asdict(allocated)}")
-        return cls(
-            config=config,
-            bram=bram,
-            candidates=tuple(checked(d["candidates"], list[int], "candidates")),
-            rows=rows,
-        )
+        if profile.bram != allocated:
+            raise ConfigError(f"bram: {asdict(profile.bram)} is not what config allocates: {asdict(allocated)}")
+        return profile
 
     @classmethod
     def load_json(cls, path) -> "HwProfile":
@@ -359,7 +331,8 @@ class HwProfile:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, _CSV_COLUMNS, extrasaction="ignore")
             writer.writeheader()
-            writer.writerows(r.to_dict() for r in self.rows)
+            writer.writerows({**asdict(r), **asdict(r.cost), "total_cycles": r.cost.total_cycles}
+                             for r in self.rows)
 
 
 def profile_model(model: m.ModelGraph, candidates, config: HwConfig = HwConfig()) -> HwProfile:
@@ -369,7 +342,7 @@ def profile_model(model: m.ModelGraph, candidates, config: HwConfig = HwConfig()
     |weighted layers| x |candidates|.
     """
     m.validate_model(model)
-    candidates = tuple(int(b) for b in candidates)
+    candidates = [int(b) for b in candidates]
     for b in candidates:
         if b not in quant.BIT_CHOICES:
             raise ConfigError(f"unsupported profile bit-width {b}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -470,13 +470,6 @@ def _avgpool_backward(layer: AvgPool, x: np.ndarray, grad_out: np.ndarray) -> np
     n, c, oh, ow = grad_out.shape
     gx = np.zeros_like(x)
     g = grad_out * np.float32(1.0 / (k * k))
-    if k == s:
-        # each input cell lies in one window at most: write g there, with + 0 turning
-        # -0.0 into +0.0 as a scatter's 0 + g does; cells no window covers stay 0
-        sn, sc, sh, sw = gx.strides
-        as_strided(gx, (n, c, oh, k, ow, k), (sn, sc, sh * k, sh, sw * k, sw))[...] = \
-            g[:, :, :, None, :, None] + np.float32(0)
-        return gx
     for i in range(k):
         for j in range(k):
             gx[:, :, i:i + oh * s:s, j:j + ow * s:s] += g
@@ -578,6 +571,28 @@ def blob_path_for(manifest_path) -> Path:
     return Path(manifest_path).with_suffix(".bin")
 
 
+@dataclass
+class _Param:
+    """One tensor of a layer: `count` float32 values at element `offset` of the blob."""
+
+    name: str
+    shape: list[int]
+    offset: int
+    count: int
+
+
+@dataclass
+class _Manifest:
+    """model.json. Each layer is {"kind", its header fields, "params": [_Param, ...]}."""
+
+    format: str
+    version: int
+    input_shape: list[int]
+    class_count: int
+    blob: str
+    layers: list[dict]
+
+
 def model_files(model: ModelGraph, path) -> tuple[str, bytes]:
     """The manifest text and the float32 weight blob save_model writes for `model` at `path`."""
     validate_model(model)
@@ -590,20 +605,14 @@ def model_files(model: ModelGraph, path) -> tuple[str, bytes]:
         params = []
         for name, arr in _param_arrays(layer):
             a = np.ascontiguousarray(arr, dtype=np.float32)
-            params.append({"name": name, "shape": list(a.shape), "offset": offset, "count": int(a.size)})
+            params.append(_Param(name, list(a.shape), offset, int(a.size)))
             blob += a.astype("<f4").tobytes()
             offset += int(a.size)
         entry["params"] = params
         layers.append(entry)
-    manifest = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "input_shape": list(model.input_shape),
-        "class_count": model.class_count,
-        "blob": blob_path_for(path).name,
-        "layers": layers,
-    }
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n", bytes(blob)
+    manifest = _Manifest(MODEL_FORMAT, MODEL_FORMAT_VERSION, list(model.input_shape), model.class_count,
+                         blob_path_for(path).name, layers)
+    return json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n", bytes(blob)
 
 
 def save_model(model: ModelGraph, path) -> Path:
@@ -619,13 +628,14 @@ def save_model(model: ModelGraph, path) -> Path:
 def load_model(path) -> ModelGraph:
     """Load a manifest + blob pair written by save_model.
 
-    The manifest's version must be MODEL_FORMAT_VERSION and its blob a file
-    name. Each layer is errors.build(KINDS[kind], header + param arrays):
-    header keys must be exactly the kind's non-param fields, each of its
-    field's JSON type (integer fields reject bools, floats and strings);
-    params must be the kind's own and lie inside the blob. Violations raise
-    ModelFormatError naming the layer and the key, and the loaded graph is
-    then validated.
+    The manifest is errors.build(_Manifest, ...), so its keys and each
+    param entry's are exactly those model_files writes; its version must be
+    MODEL_FORMAT_VERSION. Each layer is errors.build(KINDS[kind], header +
+    param arrays): header keys must be exactly the kind's non-param fields,
+    each of its field's JSON type (integer fields reject bools, floats and
+    strings); params must be the kind's own and lie inside the blob.
+    Violations raise ModelFormatError naming the layer and the key, and the
+    loaded graph is then validated.
     """
     path = Path(path)
     try:
@@ -635,16 +645,16 @@ def load_model(path) -> ModelGraph:
     if not isinstance(manifest, dict) or manifest.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} manifest")
     try:
-        version = checked(manifest["version"], int, f"{path}: version")
-        if version != MODEL_FORMAT_VERSION:
-            raise ModelFormatError(f"{path}: version must be {MODEL_FORMAT_VERSION}, got {version}")
-        blob_file = path.parent / checked(manifest["blob"], str, f"{path}: blob")
+        manifest = build(_Manifest, manifest, f"{path}: ")
+        if manifest.version != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"{path}: version must be {MODEL_FORMAT_VERSION}, got {manifest.version}")
+        blob_file = path.parent / manifest.blob
         try:
             flat = np.frombuffer(blob_file.read_bytes(), dtype="<f4")
         except OSError as exc:
             raise ModelFormatError(f"cannot read weight blob {blob_file}: {exc}") from exc
         layers = []
-        for i, entry in enumerate(checked(manifest["layers"], list[dict], f"{path}: layers")):
+        for i, entry in enumerate(manifest.layers):
             header = dict(entry)
             kind = header.pop("kind", None)
             cls = KINDS.get(kind)
@@ -652,29 +662,23 @@ def load_model(path) -> ModelGraph:
                 raise UnsupportedLayerError(f"layer {i}: unknown layer kind {kind!r}")
             where = f"layer {i} ({kind}) in {path}"
             arrays = dict.fromkeys(cls.params)
-            for p in checked(header.pop("params", []), list[dict], f"{where}: params"):
-                name = checked(p["name"], str, f"{where}: params.name")
-                shape = checked(p["shape"], list[int], f"{where}: {name}.shape")
-                lo = checked(p["offset"], int, f"{where}: {name}.offset")
-                n = checked(p["count"], int, f"{where}: {name}.count")
-                if name not in cls.params:
-                    raise ModelFormatError(f"{where}: unknown param {name!r}")
-                if min(lo, n, *shape) < 0 or math.prod(shape) != n:
-                    raise ModelFormatError(f"{where}: param {name!r} has an inconsistent shape, offset or count")
-                if lo + n > flat.size:
-                    raise ModelFormatError(f"weight blob too short for {name} in {path}")
-                arrays[name] = flat[lo:lo + n].reshape(shape).astype(np.float32)
+            for p in checked(header.pop("params", []), list[_Param], f"{where}: params"):
+                if p.name not in cls.params:
+                    raise ModelFormatError(f"{where}: unknown param {p.name!r}")
+                if min(p.offset, p.count, *p.shape) < 0 or math.prod(p.shape) != p.count:
+                    raise ModelFormatError(f"{where}: param {p.name!r} has an inconsistent shape, offset or count")
+                if p.offset + p.count > flat.size:
+                    raise ModelFormatError(f"weight blob too short for {p.name} in {path}")
+                arrays[p.name] = flat[p.offset:p.offset + p.count].reshape(p.shape).astype(np.float32)
             if clash := header.keys() & arrays.keys():
                 raise ModelFormatError(f"{where}: {min(clash)}: unknown key")
             layers.append(build(cls, {**header, **arrays}, f"{where}: "))
-        input_shape = checked(manifest["input_shape"], list[int], f"{path}: input_shape")
-        class_count = checked(manifest["class_count"], int, f"{path}: class_count")
-        if min(class_count, *input_shape) < 0:
+        if min(manifest.class_count, *manifest.input_shape) < 0:
             raise ModelFormatError(f"{path}: input_shape and class_count must be non-negative")
-        model = ModelGraph(layers=layers, input_shape=tuple(input_shape), class_count=class_count)
+        model = ModelGraph(layers=layers, input_shape=tuple(manifest.input_shape), class_count=manifest.class_count)
     except ConfigError as exc:
         raise ModelFormatError(str(exc)) from None
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:  # an unhashable layer kind
         raise ModelFormatError(f"malformed model manifest {path}: {exc}") from exc
     validate_model(model)
     return model

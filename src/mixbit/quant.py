@@ -281,10 +281,8 @@ class ModelSize:
 
 
 def weight_bit_sizes(model: m.ModelGraph, bits) -> list[int]:
-    """Per-weighted-layer weight size in bits; `bits` is an int or one per layer."""
+    """Per-weighted-layer weight size in bits; `bits` holds one width per weighted layer."""
     slots = m.weighted_layers(model)
-    if isinstance(bits, int):
-        bits = [bits] * len(slots)
     if len(bits) != len(slots):
         raise ConfigError(f"expected {len(slots)} bit entries, got {len(bits)}")
     return [int(model.layers[idx].weight.size) * b for idx, b in zip(slots, bits)]
@@ -298,5 +296,5 @@ def fixed_param_bits(model: m.ModelGraph) -> int:
 
 def model_size(model: m.ModelGraph, bit_config: BitConfig) -> ModelSize:
     """Total stored size under a bit config; passthrough layers count at 32 bits."""
-    wbits = sum(weight_bit_sizes(model, list(bit_config.weight_bits)))
+    wbits = sum(weight_bit_sizes(model, bit_config.weight_bits))
     return ModelSize(weight_bits=wbits, fixed_bits=fixed_param_bits(model))

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mixbit import cli, errors, planner, quant, zoo
+from mixbit import cli, errors, hwsim, planner, quant, zoo
 from mixbit import model as m
 
 
@@ -151,6 +151,11 @@ _STORED_SECTION_MUTATIONS = {
     "weight_blocks_1": (cli.ART_PROFILE_JSON, lambda d: d["bram"].update(weight_blocks=1), "bram", ("plan", "eval")),
     "bram_total_10": (cli.ART_PROFILE_JSON, lambda d: d["config"].update(bram_total=10), "bram", ("plan", "eval")),
     "float_candidate": (cli.ART_PROFILE_JSON, lambda d: d.update(candidates=[4.0, 8, 32]), "candidates", ("plan",)),
+    "unknown_profile_key": (cli.ART_PROFILE_JSON, lambda d: d.update(bogus=1), "bogus", ("plan", "eval")),
+    "unknown_row_key": (cli.ART_PROFILE_JSON, lambda d: d["rows"][0].update(extra=3), "rows[0].extra",
+                        ("plan", "eval")),
+    "unknown_cost_key": (cli.ART_PROFILE_JSON, lambda d: d["rows"][0]["cost"].update(extra=3), "rows[0].cost.extra",
+                         ("plan", "eval")),
     "beta_true": (cli.ART_PLAN, lambda d: d["planner"].update(beta=True, gamma=0.0), "planner.beta",
                   ("quantize", "eval")),
     "fractional_limit_bits": (cli.ART_PLAN, lambda d: d["planner"].update(limit_bits=1.5, ratio=None),
@@ -499,11 +504,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("artifact, edit, message", [
         (cli.ART_SENSITIVITY, lambda d: d.update(omega=[str(v) for v in d["omega"]]), "omega: expected a number"),
-        (cli.ART_PROFILE_JSON, lambda d: d["rows"][0].update(compute=d["rows"][0]["compute"] + 0.9),
-         "rows[0].compute: expected an integer"),
-        (cli.ART_PROFILE_JSON, lambda d: d["rows"][0].update(total_cycles=d["rows"][0]["total_cycles"] + 1),
-         "rows[0].total_cycles"),
-    ], ids=["string_omega", "fractional_compute", "total_cycles_off_its_sum"])
+        (cli.ART_PROFILE_JSON, lambda d: d["rows"][0]["cost"].update(compute=d["rows"][0]["cost"]["compute"] + 0.9),
+         "rows[0].cost.compute: expected an integer"),
+    ], ids=["string_omega", "fractional_compute"])
     def test_artifact_field_of_the_wrong_type_exits_2(self, light_config, pipeline_run, tmp_path, capsys,
                                                        artifact, edit, message):
         # the readers check each field instead of coercing it with int() or np.asarray
@@ -652,6 +655,22 @@ class TestExitCodes:
         assert err.startswith("model error: ")
         assert message in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(bogus=1), "model.json: bogus: unknown key"),
+        (lambda d: d["layers"][0]["params"][0].update(extra=3), "params[0].extra: unknown key"),
+    ], ids=["top_level", "param_entry"])
+    def test_unknown_manifest_key(self, tmp_path, capsys, edit, message):
+        # the manifest's keys and each param entry's are exactly those model_files writes
+        path = m.save_model(zoo.toy_cnn(0), tmp_path / "model.json")
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": str(path)}))
+        rc = cli.main(["distill", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("model error: ") and message in err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sensitivity": {"alfa": 0.5}}))
@@ -741,6 +760,24 @@ class TestBuild:
         for bad in ("[1]", 1, None, {"x": 1}):
             with pytest.raises(errors.ConfigError, match=r"^x: expected a list, got "):
                 errors.checked(bad, list[int], "x")
+
+    def test_checked_reads_a_dataclass_hint(self):
+        doc = {"samples": 8, "noise": 0.25, "seed": 3}
+        for hint in (cli.EvalConfig, cli.EvalConfig | None):
+            assert errors.checked(doc, hint, "eval") == cli.EvalConfig(8, 0.25, 3)
+            with pytest.raises(errors.ConfigError, match=r"^eval\.seed: missing key$"):
+                errors.checked({"samples": 8, "noise": 0.25}, hint, "eval")
+        assert errors.checked(None, cli.EvalConfig | None, "eval") is None
+        with pytest.raises(errors.ConfigError, match=r"^eval: must be a JSON object, got null$"):
+            errors.checked(None, cli.EvalConfig, "eval")
+
+    def test_checked_names_each_element_of_a_dataclass_list(self):
+        prof = hwsim.profile_model(zoo.tiny_cnn(0), (4, 8))
+        rows = prof.to_dict()["rows"]
+        assert errors.checked(rows, list[hwsim.ProfileRow], "rows") == prof.rows
+        rows[1]["cost"]["tile"] = 1.5
+        with pytest.raises(errors.ConfigError, match=r"^rows\[1\]\.cost\.tile: expected an integer, got 1.5$"):
+            errors.checked(rows, list[hwsim.ProfileRow], "rows")
 
     def test_range_error_takes_the_path_it_was_built_under(self):
         with pytest.raises(errors.ConfigError, match=r"^beta \+ gamma must equal 1, got 0.7 \+ 0.5$"):

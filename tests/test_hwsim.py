@@ -172,7 +172,7 @@ class TestLayerCost:
         # toy pipeline's first conv: dims (8, 27, 64), tile 8, grid 1*4*8=32
         net = zoo.toy_cnn(0)
         cost = hwsim.layer_cost(net.layers[0], (3, 8, 8), (8, 8, 8), 4, 8, hwsim.HwConfig(), L_MAX)
-        assert cost.dims == (8, 27, 64)
+        assert cost.dims == [8, 27, 64]
         assert cost.tile == 8
         assert cost.compute == 32 * (64 + 3 + 4)
         assert cost.transfer == 384    # 32 * (32 + 64) bytes over 8 bytes/cycle
@@ -204,7 +204,7 @@ class TestLayerCost:
     def test_linear_single_column(self):
         lin = m.Linear(64, 10, weight=np.zeros((10, 64), dtype=np.float32))
         cost = hwsim.layer_cost(lin, (4, 4, 4), (10,), 8, 8, hwsim.HwConfig(), L_MAX)
-        assert cost.dims == (10, 64, 1)
+        assert cost.dims == [10, 64, 1]
         assert cost.tile == 8
         # grid ceil(10/8) * ceil(64/8) * 1 = 16
         assert cost.compute == 16 * (64 + 3 + 4)

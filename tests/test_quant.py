@@ -212,7 +212,7 @@ class TestModelSize:
     def test_hand_summed_sizes(self):
         net = zoo.tiny_cnn(0)
         # weights: conv 4*2*3*3 = 72, conv 4*4*3*3 = 144, linear 64*10 = 640
-        assert quant.weight_bit_sizes(net, 8) == [576, 1152, 5120]
+        assert quant.weight_bit_sizes(net, [8] * 3) == [576, 1152, 5120]
         mixed = quant.model_size(net, quant.BitConfig([8, 4, 4], [8, 8, 8]))
         assert mixed.weight_bits == 72 * 8 + 144 * 4 + 640 * 4
         # fixed: biases 4 + 4 + 10, BN vectors 2 * 4 * 4, all at 32 bits
