@@ -67,7 +67,6 @@ ART_REPORT_JSON = "report.json"
 ART_REPORT_CSV = "report.csv"
 
 _UNIFORM_BITS = {"fp32": 32, "int8": 8, "int4": 4}
-_EVAL_VARIANTS = (*_UNIFORM_BITS, "planned")
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,10 @@ def load_config(config_path: str | None, overrides: argparse.Namespace) -> Pipel
 
 def _out(cfg: PipelineConfig) -> Path:
     p = Path(cfg.output_dir)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot make directory {p}: {exc}") from exc
     return p
 
 
@@ -209,7 +211,7 @@ def _read_artifact(path: Path, produced_by: str, parse=None):
 
 
 def write_bundled_model(cfg: PipelineConfig, command: str) -> None:
-    """Unless a model is configured, put the bundled toy CNN for cfg.seed in the output directory.
+    """Make the output directory and, unless a model is configured, put the bundled toy CNN for cfg.seed in it.
 
     distill and pipeline start a run from the model alone, so they rebuild it
     from the seed and overwrite whatever an earlier run left. Every other
@@ -217,10 +219,10 @@ def write_bundled_model(cfg: PipelineConfig, command: str) -> None:
     model only when it is missing, and raises ConfigError when the one there
     is not this seed's, instead of mixing two models in one run.
     """
+    path = _out(cfg) / ART_MODEL  # a bad output_dir exits before any stage works
     if cfg.model:
         return
     net = zoo.toy_cnn(cfg.seed)
-    path = _out(cfg) / ART_MODEL
     if command in ("distill", "pipeline") or not path.exists():
         m.save_model(net, path)
         log.info("wrote bundled toy model to %s", path)
@@ -384,38 +386,37 @@ def stage_quantize(cfg: PipelineConfig) -> dict:
 def stage_eval(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
     batch = _load_distilled(cfg)
-    planned = _planned_bits(cfg)
-    profile = _load_profile(cfg)
     count = len(m.weighted_layers(net))
+    variants = {name: quant.BitConfig.uniform(count, bits) for name, bits in _UNIFORM_BITS.items()}
+    variants["planned"] = _planned_bits(cfg)
+    profile = _load_profile(cfg)
 
     _, calib = m.forward(net, batch, record=True)  # shared by every variant's grids
+    models = [quant.quantize_model(net, bit_cfg, batch, calib) for bit_cfg in variants.values()]
+    del calib  # every grid is frozen; the chunks need only the models
+    # one draw of the eval set, a chunk at a time, runs every variant; only predictions are kept
+    labels, preds = [], []
+    for xs, ys in zoo.eval_batches(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed):
+        labels.append(ys)
+        preds.append([quant.quantized_forward(qm, xs).argmax(axis=1) for qm in models])
+    labels, preds = np.concatenate(labels), np.concatenate(preds, axis=1)  # preds: one row per variant
 
     results = {}
-    fp_preds = labels = None
-    for name in _EVAL_VARIANTS:
-        bit_cfg = quant.BitConfig.uniform(count, _UNIFORM_BITS[name]) if name in _UNIFORM_BITS else planned
-        qm = quant.quantize_model(net, bit_cfg, batch, calib)
-        # the eval set is drawn and run one chunk at a time; only predictions are kept
-        preds, ys = zip(*((quant.quantized_forward(qm, xs).argmax(axis=1), ys)
-                          for xs, ys in zoo.eval_batches(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed)))
-        preds = np.concatenate(preds)
-        if name == "fp32":
-            fp_preds, labels = preds, np.concatenate(ys)
+    for (name, bit_cfg), p in zip(variants.items(), preds):
         size = quant.model_size(net, bit_cfg)
         cycles = sum(int(profile.cost(idx, b).total_cycles)
                      for idx, b in zip(profile.layer_indices(), bit_cfg.weight_bits))
         results[name] = {
             "weight_bits": list(bit_cfg.weight_bits),
-            "accuracy": float(np.mean(preds == labels)),
-            "agreement": float(np.mean(preds == fp_preds)),
+            "accuracy": float(np.mean(p == labels)),
+            "agreement": float(np.mean(p == preds[0])),  # against fp32
             "total_cycles": cycles,
             "weight_bits_total": size.weight_bits,
             "total_bits": size.total_bits,
         }
     doc = {**dataclasses.asdict(cfg.eval), "variants": results}
     _write_json(_out(cfg) / ART_EVAL, doc)
-    for name in _EVAL_VARIANTS:
-        r = results[name]
+    for name, r in results.items():
         log.info("eval %-8s acc=%.4f agree=%.4f cycles=%d", name, r["accuracy"],
                  r["agreement"], r["total_cycles"])
     return doc
@@ -541,6 +542,18 @@ def stage_pipeline(cfg: PipelineConfig) -> dict:
 # entry point
 
 
+# subcommand -> (stage, help text)
+_STAGES = {
+    "distill": (stage_distill, "synthesize a calibration batch from batch-norm statistics"),
+    "sense": (stage_sense, "score per-layer sensitivity on the distilled batch"),
+    "profile": (stage_profile, "cost every layer on the accelerator model"),
+    "plan": (stage_plan, "solve the bit allocation under the size budget"),
+    "quantize": (stage_quantize, "freeze grids and integer weights for the planned bits"),
+    "eval": (stage_eval, "compare fp32 / int8 / int4 / planned variants"),
+    "pipeline": (stage_pipeline, "run all stages and write the final report"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixbit",
@@ -548,16 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mixbit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    stages = {
-        "distill": "synthesize a calibration batch from batch-norm statistics",
-        "sense": "score per-layer sensitivity on the distilled batch",
-        "profile": "cost every layer on the accelerator model",
-        "plan": "solve the bit allocation under the size budget",
-        "quantize": "freeze grids and integer weights for the planned bits",
-        "eval": "compare fp32 / int8 / int4 / planned variants",
-        "pipeline": "run all stages and write the final report",
-    }
-    for name, help_text in stages.items():
+    for name, (_, help_text) in _STAGES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: out)")
@@ -571,17 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STAGES = {
-    "distill": stage_distill,
-    "sense": stage_sense,
-    "profile": stage_profile,
-    "plan": stage_plan,
-    "quantize": stage_quantize,
-    "eval": stage_eval,
-    "pipeline": stage_pipeline,
-}
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("MIXBIT_LOG", "INFO").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
@@ -590,7 +583,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args)
         write_bundled_model(cfg, args.command)
-        _STAGES[args.command](cfg)
+        _STAGES[args.command][0](cfg)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

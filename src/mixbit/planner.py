@@ -42,7 +42,7 @@ def omega(w_hat, c_hat, e_hat, beta: float, gamma: float) -> np.ndarray:
     beta and gamma must sum to 1; beta=1 ranks purely by sensitivity,
     gamma=1 purely by hardware cost.
     """
-    if abs(beta + gamma - 1.0) > 1e-9:
+    if not abs(beta + gamma - 1.0) <= 1e-9:
         raise ConfigError(f"beta + gamma must equal 1, got {beta} + {gamma}")
     w_hat = np.asarray(w_hat, dtype=np.float64)
     c_hat = np.asarray(c_hat, dtype=np.float64)
@@ -204,7 +204,7 @@ class PlannerConfig:
             object.__setattr__(self, "gamma", 1.0 - self.beta)
         if self.ratio is None and self.limit_bits is None:
             object.__setattr__(self, "ratio", 0.5)
-        if abs(self.beta + self.gamma - 1.0) > 1e-9:
+        if not abs(self.beta + self.gamma - 1.0) <= 1e-9:
             raise RangeError("{at}beta + {at}gamma must equal 1, got {} + {}", self.beta, self.gamma)
         if not 0.0 <= self.beta <= 1.0:
             raise RangeError("{at}beta must lie in [0, 1], got {}", self.beta)

@@ -191,8 +191,9 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
     calibrate asymmetrically from the tensors observed at each weighted
     layer's input during one recorded forward pass over `calib_batch`.
     `calib_trace` may supply that recorded pass, so that callers quantizing
-    one model several times over the same batch run it once. Biases and
-    BatchNorm parameters stay in float32.
+    one model several times over the same batch run it once; when every
+    activation width is passthrough, no grid reads the pass and only the
+    batch is checked. Biases and BatchNorm parameters stay in float32.
     """
     m.validate_model(model)
     slots = m.weighted_layers(model)
@@ -201,7 +202,9 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
             f"bit config covers {len(bit_config.weight_bits)} layers, model has {len(slots)} weighted layers"
         )
     trace = calib_trace
-    if trace is None:
+    if trace is None and set(bit_config.activation_bits) == {PASSTHROUGH_BITS}:
+        m._check_batch(model, calib_batch)
+    elif trace is None:
         _, trace = m.forward(model, calib_batch, record=True)
     wparams, aparams, codes = [], [], []
     for pos, idx in enumerate(slots):

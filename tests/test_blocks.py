@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,6 +239,18 @@ def test_eval_peak_memory_does_not_grow_with_samples(tmp_path):
     # 1024 samples would hold 12.6 MB of inputs alone; the kept predictions and
     # labels add about 100 bytes a sample
     assert peaks[1024] < peaks[64] + 256 * 1024, peaks
+
+
+def test_eval_draws_its_set_once(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 8}, "eval": {"samples": 40}}))
+    out = tmp_path / "out"
+    for stage in ("distill", "sense", "profile", "plan"):
+        assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK, stage
+    # every variant runs on each chunk of one draw
+    with mock.patch.object(zoo, "eval_batches", wraps=zoo.eval_batches) as draws:
+        assert cli.main(["eval", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    assert draws.call_count == 1
 
 
 # ---------------------------------------------------------------------------

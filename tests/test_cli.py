@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import shutil
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -393,6 +394,23 @@ class TestStageFlags:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing_file", "below_a_file"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, sub):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / sub
+        assert cli.main(["profile", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: output_dir: cannot make directory {out}")
+
+    def test_out_is_made_before_a_configured_model_runs(self, tmp_path, capsys):
+        model = m.save_model(zoo.toy_cnn(0), tmp_path / "toy.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": str(model)}))
+        (tmp_path / "file").write_text("")
+        with mock.patch.object(cli, "synthesize") as synthesize:
+            assert cli.main(["distill", "--config", str(config), "--out", str(tmp_path / "file")]) == cli.EXIT_CONFIG
+        synthesize.assert_not_called()
+        assert "output_dir: cannot make directory" in capsys.readouterr().err
+
     def test_missing_artifact_names_prior_stage(self, tmp_path, capsys):
         rc = cli.main(["sense", "--out", str(tmp_path / "fresh")])
         assert rc == cli.EXIT_CONFIG
@@ -589,6 +607,7 @@ class TestExitCodes:
         ('{"hardware": {"lanes": 3}}', "hardware.lanes must be a power of 2, got 3"),
         ('{"hardware": {"coe_w": 0}}', "hardware.coe_w must be a positive integer, got 0"),
         ('{"planner": {"beta": 0.7, "gamma": 0.5}}', "planner.beta + planner.gamma must equal 1, got 0.7 + 0.5"),
+        ('{"planner": {"gamma": NaN}}', "planner.beta + planner.gamma must equal 1, got 0.5 + nan"),
         ('{"planner": {"ratio": 0.5, "limit_bits": 10}}', "set only one of planner.ratio and planner.limit_bits"),
         ('{"planner": {"activation_bits": "4"}}', "planner.activation_bits must be 'plan' or '8', got '4'"),
         ('{"sensitivity": {"naive_bits": 5}}', "sensitivity.naive_bits must be one of [4, 8, 32], got 5"),

@@ -56,6 +56,8 @@ class TestOmega:
             planner.omega([1.0], [0.0], [0.0], 0.7, 0.5)
         with pytest.raises(ConfigError):
             planner.omega([1.0], [0.0, 1.0], [0.0], 0.5, 0.5)
+        with pytest.raises(ConfigError, match="got 0.5 \\+ nan"):  # NaN compares false both ways
+            planner.omega([1.0], [0.0], [0.0], 0.5, math.nan)
 
 
 def _brute_force(scores, sizes4, sizes8, limit_bits):

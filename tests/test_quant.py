@@ -3,7 +3,7 @@ import pytest
 
 from mixbit import model as m
 from mixbit import quant, zoo
-from mixbit.errors import ConfigError
+from mixbit.errors import ConfigError, ShapeMismatchError
 
 
 class TestRounding:
@@ -131,6 +131,12 @@ class TestQuantizeModel:
         batch = np.zeros((2, 2, 8, 8), dtype=np.float32)
         with pytest.raises(ConfigError):
             quant.quantize_model(net, quant.BitConfig.uniform(2, 8), batch)
+
+    def test_passthrough_activations_still_check_the_batch(self):
+        # no grid reads a calibration pass here, but a malformed batch still raises
+        net = zoo.toy_cnn(0)
+        with pytest.raises(ShapeMismatchError):
+            quant.quantize_model(net, quant.BitConfig.uniform(5, 32), np.zeros((2, 3, 4, 4), dtype=np.float32))
 
     def test_passthrough_is_bitwise_identity(self):
         net = zoo.toy_cnn(0)

@@ -223,6 +223,14 @@ class TestNaiveSensitivity:
         np.testing.assert_array_equal(report.omega, np.zeros(3))
         assert report.method == "naive"
 
+    def test_runs_no_recorded_forward(self):
+        # every activation stays passthrough, so no grid reads a calibration pass
+        net = zoo.toy_cnn(0)
+        with mock.patch.object(m, "forward", wraps=m.forward) as forward:
+            sens.naive_sensitivity(net, _batch((3, 8, 8), n=4), bits=4)
+        assert forward.call_count == 1  # the float reference
+        assert not forward.call_args.kwargs.get("record", False)
+
     def test_single_layer_equals_whole_model_divergence(self):
         net = zoo.bn_passthrough_net()
         batch = _batch((3, 2, 2))
