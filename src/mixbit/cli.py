@@ -205,7 +205,8 @@ def _read_artifact(path: Path, produced_by: str, parse=None):
     try:
         doc = checked(json.loads(path.read_text()), dict, "top level")
         return doc if parse is None else parse(doc)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError, ConfigError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, ConfigError, ShapeMismatchError,
+            NumericFailureError) as exc:
         raise ConfigError(f"malformed artifact {path.name} ({exc!r}): "
                           f"rerun `mixbit {produced_by}`") from exc
 
@@ -243,9 +244,16 @@ def ensure_model(cfg: PipelineConfig) -> tuple[m.ModelGraph, Path]:
     return m.load_model(path), path
 
 
-def _load_distilled(cfg: PipelineConfig) -> np.ndarray:
-    """The distilled float32 batch; the rest of distilled.json is written for the record only."""
+def _load_distilled(cfg: PipelineConfig, net: m.ModelGraph | None = None) -> np.ndarray:
+    """The distilled float32 batch; the rest of distilled.json is written for the record only.
+
+    A batch that is not finite or not of the model's input shape is
+    malformed. net is the model the stage has loaded; acceptance criterion
+    11 calls with cfg alone, and the model is loaded here.
+    """
     out = _out(cfg)
+    if net is None:
+        net, _ = ensure_model(cfg)
 
     def parse(doc: dict) -> np.ndarray:
         blob = out / checked(doc["blob"], str, "blob")
@@ -253,7 +261,7 @@ def _load_distilled(cfg: PipelineConfig) -> np.ndarray:
         flat = np.frombuffer(blob.read_bytes(), dtype="<f4")
         if flat.size != math.prod(shape):
             raise ValueError(f"{blob.name} holds {flat.size} values, shape {shape} needs {math.prod(shape)}")
-        return flat.reshape(shape).astype(np.float32)
+        return m._check_batch(net, flat.reshape(shape).astype(np.float32))
 
     return _read_artifact(out / ART_DISTILLED, "distill", parse)
 
@@ -280,10 +288,79 @@ def _load_plan(cfg: PipelineConfig) -> tuple[PlannerConfig, PlanResult]:
     return _read_artifact(_out(cfg) / ART_PLAN, "plan", parse)
 
 
-def _planned_bits(cfg: PipelineConfig) -> quant.BitConfig:
+def _planned_bits(cfg: PipelineConfig, net: m.ModelGraph) -> quant.BitConfig:
     planner_cfg, plan = _load_plan(cfg)
-    wb = plan.weight_bits
+    wb, count = plan.weight_bits, len(m.weighted_layers(net))
+    if len(wb) != count:
+        raise ConfigError(f"{ART_PLAN}: weight_bits covers {len(wb)} layers, the model has {count} weighted "
+                          f"layers: rerun `mixbit plan`")
     return quant.BitConfig(wb, [8] * len(wb) if planner_cfg.activation_bits == "8" else list(wb))
+
+
+@dataclass(frozen=True)
+class _WeightGrid(quant.QuantParams):
+    """A weight grid and where its layer's codes lie in quantized.bin, one signed byte each."""
+
+    offset: int
+    count: int
+    shape: list[int]
+
+
+@dataclass
+class _QuantizedLayer:
+    layer_index: int
+    kind: str
+    weight: _WeightGrid
+    activation: quant.QuantParams
+
+
+@dataclass
+class _QuantizedFile:
+    """quantized.json: every planned layer has both grids, since plan.json admits only 4 and 8 bits."""
+
+    blob: str
+    layers: list[_QuantizedLayer]
+
+
+def _load_quantized(cfg: PipelineConfig, net: m.ModelGraph) -> tuple[quant.BitConfig, quant.QuantizedModel]:
+    """The planned bits, and the model that quantized.json and quantized.bin hold for them.
+
+    Each layer's codes must follow the previous layer's in the blob, match
+    the model's weight in count and shape, and lie in its grid's range, and
+    the blob must hold no more. A file whose grids have other bits than the
+    plan's is stale.
+    """
+    out = _out(cfg)
+    bits = _planned_bits(cfg, net)
+
+    def parse(doc: dict) -> quant.QuantizedModel:
+        qf = build(_QuantizedFile, doc)
+        slots = [(idx, net.layers[idx].kind) for idx in m.weighted_layers(net)]
+        if [(layer.layer_index, layer.kind) for layer in qf.layers] != slots:
+            raise ValueError(f"layers must be the model's weighted layers {slots}")
+        grids = [layer.weight for layer in qf.layers]
+        blob = np.frombuffer((out / qf.blob).read_bytes(), dtype="<i1")
+        if blob.size != (total := sum(w.count for w in grids)):
+            raise ValueError(f"{qf.blob} holds {blob.size} codes, the layers {total}")
+        codes, end = [], 0
+        for idx, w in zip(m.weighted_layers(net), grids):
+            shape = list(net.layers[idx].weight.shape)
+            if (w.offset, w.count, w.shape) != (end, math.prod(shape), shape):
+                raise ValueError(f"layer {idx}: codes at offset {w.offset}, count {w.count}, shape {w.shape}, "
+                                 f"not offset {end}, count {math.prod(shape)}, shape {shape}")
+            end += w.count
+            codes.append(blob[w.offset:end].reshape(shape))
+            if codes[-1].min() < w.qmin or codes[-1].max() > w.qmax:
+                raise ValueError(f"layer {idx}: codes outside [{w.qmin}, {w.qmax}]")
+        return quant.QuantizedModel(net, grids, [layer.activation for layer in qf.layers], codes)
+
+    qm = _read_artifact(out / ART_QUANTIZED, "quantize", parse)
+    stored = quant.BitConfig([p.bits for p in qm.weight_params], [p.bits for p in qm.act_params])
+    if stored != bits:
+        raise ConfigError(f"{ART_QUANTIZED} holds weight bits {stored.weight_bits} and activation bits "
+                          f"{stored.activation_bits}, {ART_PLAN} plans {bits.weight_bits} and "
+                          f"{bits.activation_bits}: rerun `mixbit quantize`")
+    return bits, qm
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +388,7 @@ def stage_distill(cfg: PipelineConfig) -> SyntheticBatch:
 
 def stage_sense(cfg: PipelineConfig) -> SensitivityReport:
     net, _ = ensure_model(cfg)
-    batch = _load_distilled(cfg)
+    batch = _load_distilled(cfg, net)
     sc = cfg.sensitivity
     if sc.method == "mqe":
         report = mqe_sensitivity(net, batch, alpha=sc.alpha, seed=sc.seed, base_bits=sc.base_bits)
@@ -340,60 +417,34 @@ def stage_plan(cfg: PipelineConfig) -> PlanResult:
     return plan
 
 
-def stage_quantize(cfg: PipelineConfig) -> dict:
+def stage_quantize(cfg: PipelineConfig) -> quant.QuantizedModel:
     net, _ = ensure_model(cfg)
-    batch = _load_distilled(cfg)
-    bit_cfg = _planned_bits(cfg)
-    qm = quant.quantize_model(net, bit_cfg, batch)
-
-    blob = bytearray()
-    layers_doc = []
-    offset = 0
-    for pos, idx in enumerate(m.weighted_layers(net)):
-        wp, ap = qm.weight_params[pos], qm.act_params[pos]
-        entry = {"layer_index": idx, "kind": net.layers[idx].kind}
-        if wp is None:
-            entry["weight"] = None
-        else:
-            codes = qm.weight_codes[pos].astype("<i1")
-            entry["weight"] = {**dataclasses.asdict(wp), "offset": offset, "count": codes.size,
-                               "shape": list(codes.shape)}
-            blob += codes.tobytes()
-            offset += codes.size
-        entry["activation"] = None if ap is None else dataclasses.asdict(ap)
-        layers_doc.append(entry)
-
-    size = quant.model_size(net, bit_cfg)
+    qm = quant.quantize_model(net, _planned_bits(cfg, net), _load_distilled(cfg, net))
+    layers, offset = [], 0
+    for idx, wp, ap, codes in zip(m.weighted_layers(net), qm.weight_params, qm.act_params, qm.weight_codes):
+        grid = _WeightGrid(**dataclasses.asdict(wp), offset=offset, count=codes.size, shape=list(codes.shape))
+        layers.append(_QuantizedLayer(idx, net.layers[idx].kind, grid, ap))
+        offset += codes.size
     out = _out(cfg)
-    (out / "quantized.bin").write_bytes(bytes(blob))
-    doc = {
-        "blob": "quantized.bin",
-        "weight_bits": list(bit_cfg.weight_bits),
-        "activation_bits": list(bit_cfg.activation_bits),
-        "layers": layers_doc,
-        "size": {
-            "weight_bits_total": size.weight_bits,
-            "fixed_bits": size.fixed_bits,
-            "total_bits": size.total_bits,
-            "megabytes": size.megabytes,
-        },
-    }
-    _write_json(out / ART_QUANTIZED, doc)
-    log.info("quantized model: %d weight bits (+%d fixed)", size.weight_bits, size.fixed_bits)
-    return doc
+    (out / "quantized.bin").write_bytes(b"".join(codes.astype("<i1").tobytes() for codes in qm.weight_codes))
+    _write_json(out / ART_QUANTIZED, dataclasses.asdict(_QuantizedFile("quantized.bin", layers)))
+    log.info("quantized model: %d weight codes", offset)
+    return qm
 
 
 def stage_eval(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
-    batch = _load_distilled(cfg)
+    planned_bits, planned = _load_quantized(cfg, net)
+    batch = _load_distilled(cfg, net)
+    profile = _load_profile(cfg)
     count = len(m.weighted_layers(net))
     variants = {name: quant.BitConfig.uniform(count, bits) for name, bits in _UNIFORM_BITS.items()}
-    variants["planned"] = _planned_bits(cfg)
-    profile = _load_profile(cfg)
 
-    _, calib = m.forward(net, batch, record=True)  # shared by every variant's grids
+    _, calib = m.forward(net, batch, record=True)  # shared by every uniform variant's grids
     models = [quant.quantize_model(net, bit_cfg, batch, calib) for bit_cfg in variants.values()]
     del calib  # every grid is frozen; the chunks need only the models
+    variants["planned"] = planned_bits
+    models.append(planned)  # the model quantize wrote
     # one draw of the eval set, a chunk at a time, runs every variant; only predictions are kept
     labels, preds = [], []
     for xs, ys in zoo.eval_batches(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed):
@@ -459,7 +510,8 @@ def assemble_report(cfg: PipelineConfig) -> dict:
     sense = _read_artifact(out / ART_SENSITIVITY, "sense", SensitivityReport.from_dict)
     profile = _load_profile(cfg)
     planner_cfg, plan = _load_plan(cfg)
-    quant_doc = _read_artifact(out / ART_QUANTIZED, "quantize")
+    planned_bits, _ = _load_quantized(cfg, net)
+    size = quant.model_size(net, planned_bits)
     eval_doc = _read_artifact(out / ART_EVAL, "eval")
 
     blend = blend_scores(sense.omega, profile, planner_cfg.beta, planner_cfg.gamma)
@@ -505,8 +557,9 @@ def assemble_report(cfg: PipelineConfig) -> dict:
         },
         "bram": dataclasses.asdict(profile.bram),
         "layers": layer_rows,
-        "plan": {**dataclasses.asdict(plan), "activation_bits": quant_doc["activation_bits"]},
-        "sizes": {**quant_doc["size"], "limit_bits": plan.limit_bits},
+        "plan": {**dataclasses.asdict(plan), "activation_bits": planned_bits.activation_bits},
+        "sizes": {"weight_bits_total": size.weight_bits, "fixed_bits": size.fixed_bits,
+                  "total_bits": size.total_bits, "megabytes": size.megabytes, "limit_bits": plan.limit_bits},
         "eval": eval_doc,
     }
     report["meta"]["canonical_sha256"] = canonical_hash(report)

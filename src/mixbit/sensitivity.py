@@ -103,6 +103,8 @@ class SensitivityReport:
     @classmethod
     def from_dict(cls, d: dict) -> "SensitivityReport":
         omega = np.asarray(checked(d["omega"], list[float], "omega"), dtype=np.float64)
+        if not np.isfinite(omega).all():
+            raise ConfigError(f"omega: expected finite numbers, got {omega.tolist()}")
         return build(cls, {**d, "omega": omega})
 
 

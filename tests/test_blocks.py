@@ -224,7 +224,7 @@ def test_eval_peak_memory_does_not_grow_with_samples(tmp_path):
     config.write_text(json.dumps({"model": str(model_path), "distill": {"steps": 2, "batch_size": 8},
                                   "sensitivity": {"method": "naive"}}))
     out = tmp_path / "out"
-    for stage in ("distill", "sense", "profile", "plan"):
+    for stage in ("distill", "sense", "profile", "plan", "quantize"):
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK, stage
     cfg = cli.load_config(str(config), cli.build_parser().parse_args(["eval", "--out", str(out)]))
     peaks = {}
@@ -245,7 +245,7 @@ def test_eval_draws_its_set_once(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 8}, "eval": {"samples": 40}}))
     out = tmp_path / "out"
-    for stage in ("distill", "sense", "profile", "plan"):
+    for stage in ("distill", "sense", "profile", "plan", "quantize"):
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK, stage
     # every variant runs on each chunk of one draw
     with mock.patch.object(zoo, "eval_batches", wraps=zoo.eval_batches) as draws:

@@ -233,6 +233,20 @@ class TestPipeline:
             np.testing.assert_array_equal(codes, want)
         assert end == blob.size
 
+    def test_eval_runs_the_stored_planned_codes(self, light_config, pipeline_run, tmp_path):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        before = json.loads((out / cli.ART_EVAL).read_text())["variants"]
+        blob = out / "quantized.bin"
+        blob.write_bytes(bytes(len(blob.read_bytes())))
+        # the three uniform variants are quantized here; the planned one is read from disk
+        with mock.patch.object(quant, "quantize_model", wraps=quant.quantize_model) as calls:
+            assert cli.main(["eval", "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
+        assert calls.call_count == 3
+        after = json.loads((out / cli.ART_EVAL).read_text())["variants"]
+        assert after["planned"] != before["planned"]
+        assert {k: v for k, v in after.items() if k != "planned"} == {k: v for k, v in before.items() if k != "planned"}
+
     def test_plan_keeps_the_configured_planner_block(self, light_config, pipeline_run, tmp_path):
         out = tmp_path / "o"
         shutil.copytree(pipeline_run[0], out)
@@ -382,9 +396,9 @@ class TestStageFlags:
         assert rc == cli.EXIT_OK
         rc = cli.main(["quantize", "--config", light_config, "--out", str(out), "--seed", "0"])
         assert rc == cli.EXIT_OK
-        doc = json.loads((out / cli.ART_QUANTIZED).read_text())
-        assert doc["activation_bits"] == [8] * 5
-        assert set(doc["weight_bits"]) <= {4, 8}
+        layers = json.loads((out / cli.ART_QUANTIZED).read_text())["layers"]
+        assert [layer["activation"]["bits"] for layer in layers] == [8] * 5
+        assert {layer["weight"]["bits"] for layer in layers} <= {4, 8}
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -491,7 +505,8 @@ class TestExitCodes:
         assert "plan.json" in err and "rerun `mixbit plan`" in err
 
     @pytest.mark.parametrize("command", ["quantize", "eval"])
-    @pytest.mark.parametrize("value", ["44444", [32] * 5, [4.0] * 5], ids=["string", "int32", "float4"])
+    @pytest.mark.parametrize("value", ["44444", [32] * 5, [4.0] * 5, [4] * 4],
+                             ids=["string", "int32", "float4", "short"])
     def test_plan_with_bad_weight_bits(self, light_config, pipeline_run, tmp_path, capsys, command, value):
         out = tmp_path / "o"
         shutil.copytree(pipeline_run[0], out)
@@ -524,7 +539,9 @@ class TestExitCodes:
         (cli.ART_SENSITIVITY, lambda d: d.update(omega=[str(v) for v in d["omega"]]), "omega: expected a number"),
         (cli.ART_PROFILE_JSON, lambda d: d["rows"][0]["cost"].update(compute=d["rows"][0]["cost"]["compute"] + 0.9),
          "rows[0].cost.compute: expected an integer"),
-    ], ids=["string_omega", "fractional_compute"])
+        (cli.ART_SENSITIVITY, lambda d: d["omega"].__setitem__(1, float("nan")), "omega: expected finite numbers"),
+        (cli.ART_SENSITIVITY, lambda d: d["omega"].__setitem__(1, float("inf")), "omega: expected finite numbers"),
+    ], ids=["string_omega", "fractional_compute", "nan_omega", "infinite_omega"])
     def test_artifact_field_of_the_wrong_type_exits_2(self, light_config, pipeline_run, tmp_path, capsys,
                                                        artifact, edit, message):
         # the readers check each field instead of coercing it with int() or np.asarray
@@ -565,6 +582,56 @@ class TestExitCodes:
         assert cli.main(["plan", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert cli.ART_SENSITIVITY in err and message in err and "rerun `mixbit sense`" in err
+
+    @pytest.mark.parametrize("command", ["sense", "quantize", "eval"])
+    @pytest.mark.parametrize("edit", [
+        lambda doc, values: values.__setitem__(5, np.nan),
+        lambda doc, values: doc.update(shape=[doc["shape"][0], 3, 4, 16]),
+    ], ids=["nan", "other_shape"])
+    def test_distilled_batch_the_model_cannot_run_exits_2(self, light_config, pipeline_run, tmp_path, capsys,
+                                                          command, edit):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_DISTILLED).read_text())
+        values = np.fromfile(out / "distilled.bin", dtype="<f4")
+        edit(doc, values)
+        values.tofile(out / "distilled.bin")
+        (out / cli.ART_DISTILLED).write_text(json.dumps(doc))
+        assert cli.main([command, "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert cli.ART_DISTILLED in err and "rerun `mixbit distill`" in err
+
+    def test_stale_quantized_json_exits_2(self, light_config, pipeline_run, tmp_path, capsys):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        # a new plan with other activation widths leaves quantize's grids stale
+        for args in (["plan", "--bits-activations", "plan"], ["quantize"], ["plan", "--bits-activations", "8"]):
+            assert cli.main([*args, "--config", light_config, "--out", str(out)]) == cli.EXIT_OK, args
+        assert cli.main(["eval", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert cli.ART_QUANTIZED in err and "rerun `mixbit quantize`" in err
+        assert cli.main(["quantize", "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["eval", "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc, blob: blob.pop(), "quantized.bin holds"),
+        (lambda doc, blob: blob.append(0), "quantized.bin holds"),
+        (lambda doc, blob: doc["layers"][0]["weight"].update(scale="x"), "layers[0].weight.scale: expected a number"),
+        # one above the 4-bit range [-8, 7]
+        (lambda doc, blob: blob.__setitem__(next(layer["weight"]["offset"] for layer in doc["layers"]
+                                                 if layer["weight"]["bits"] == 4), 8), "codes outside [-8, 7]"),
+    ], ids=["truncated_blob", "extra_byte", "string_scale", "code_outside_its_grid"])
+    def test_malformed_quantized_artifact_exits_2(self, light_config, pipeline_run, tmp_path, capsys, edit, message):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_QUANTIZED).read_text())
+        blob = bytearray((out / "quantized.bin").read_bytes())
+        edit(doc, blob)
+        (out / cli.ART_QUANTIZED).write_text(json.dumps(doc))
+        (out / "quantized.bin").write_bytes(bytes(blob))
+        assert cli.main(["eval", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert cli.ART_QUANTIZED in err and message in err and "rerun `mixbit quantize`" in err
 
     @pytest.mark.parametrize("artifact, edit, key, command", [
         pytest.param(artifact, edit, key, command, id=f"{name}-{command}")

@@ -278,7 +278,7 @@ def test_stage_eval_matches_per_variant_calibration(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"distill": {"steps": 10, "batch_size": 8}, "eval": {"samples": 40}}))
     out = tmp_path / "out"
-    for stage in ("distill", "sense", "profile", "plan", "eval"):
+    for stage in ("distill", "sense", "profile", "plan", "quantize", "eval"):
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK, stage
     doc = json.loads((out / cli.ART_EVAL).read_text())
 

@@ -116,6 +116,7 @@ _READERS = {
     cli.ART_SENSITIVITY: ("plan",),
     cli.ART_PROFILE_JSON: ("plan", "eval"),
     cli.ART_PLAN: ("quantize", "eval"),
+    cli.ART_QUANTIZED: ("eval",),
 }
 _VALUES = st.integers(-5, 3000) | st.sampled_from(
     [True, None, 0.5, -1.5, 1e308, float("nan"), float("inf"), "4", "", [], [4], {}])
@@ -127,7 +128,7 @@ def stagewise_run(tmp_path_factory):
     config = root / "config.json"
     config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 4}, "eval": {"samples": 8}}))
     out = root / "out"
-    for stage in ("distill", "sense", "profile", "plan"):
+    for stage in ("distill", "sense", "profile", "plan", "quantize"):
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
     return config, out, {name: json.loads((out / name).read_text()) for name in _READERS}
 
