@@ -1,17 +1,15 @@
-"""Command-line pipeline: distill, sense, profile, plan, quantize, eval.
+"""Command-line pipeline: distill, sense, profile, plan, quantize, eval, report.
 
 Artifacts land in an output directory and each stage consumes the previous
 stage's files, so stages can run one at a time or all at once via the
-`pipeline` subcommand, which additionally assembles the final report. With
-a fixed config and seeds the report is byte-identical across runs except
-for its timestamp, and a canonical hash over everything else is recorded
-inside it.
+`pipeline` subcommand. With a fixed config and seeds the report is
+byte-identical across runs except for its timestamp, and a canonical hash
+over everything else is recorded inside it.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import datetime
@@ -193,22 +191,21 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_artifact(path: Path, produced_by: str, parse=None):
-    """Load a stage artifact, passed through parse(doc) when given.
+def _read_artifact(path: Path, parse):
+    """Load a stage artifact through parse(doc).
 
     A missing file, malformed JSON, a document that is not a JSON object, or
     content that parse rejects raises ConfigError naming the file and the
     command that regenerates it.
     """
     if not path.exists():
-        raise ConfigError(f"missing artifact {path.name}: run `mixbit {produced_by}` first")
+        raise ConfigError(f"missing artifact {path.name}: run `mixbit {_PRODUCERS[path.name]}` first")
     try:
-        doc = checked(json.loads(path.read_text()), dict, "top level")
-        return doc if parse is None else parse(doc)
+        return parse(checked(json.loads(path.read_text()), dict, "top level"))
     except (OSError, ValueError, KeyError, TypeError, OverflowError, ConfigError, ShapeMismatchError,
             NumericFailureError) as exc:
         raise ConfigError(f"malformed artifact {path.name} ({exc!r}): "
-                          f"rerun `mixbit {produced_by}`") from exc
+                          f"rerun `mixbit {_PRODUCERS[path.name]}`") from exc
 
 
 def write_bundled_model(cfg: PipelineConfig, command: str) -> None:
@@ -263,7 +260,7 @@ def _load_distilled(cfg: PipelineConfig, net: m.ModelGraph | None = None) -> np.
             raise ValueError(f"{blob.name} holds {flat.size} values, shape {shape} needs {math.prod(shape)}")
         return m._check_batch(net, flat.reshape(shape).astype(np.float32))
 
-    return _read_artifact(out / ART_DISTILLED, "distill", parse)
+    return _read_artifact(out / ART_DISTILLED, parse)
 
 
 def _load_profile(cfg: PipelineConfig) -> HwProfile:
@@ -273,28 +270,23 @@ def _load_profile(cfg: PipelineConfig) -> HwProfile:
             raise ConfigError(f"candidates {profile.candidates} are not {list(quant.BIT_CHOICES)}")
         return profile
 
-    return _read_artifact(_out(cfg) / ART_PROFILE_JSON, "profile", parse)
+    return _read_artifact(_out(cfg) / ART_PROFILE_JSON, parse)
 
 
-def _load_plan(cfg: PipelineConfig) -> tuple[PlannerConfig, PlanResult]:
-    """plan.json as the planner section it was solved with and the plan it holds."""
-    def parse(doc: dict) -> tuple[PlannerConfig, PlanResult]:
+def _load_plan(cfg: PipelineConfig, net: m.ModelGraph) -> tuple[PlannerConfig, PlanResult, quant.BitConfig]:
+    """plan.json as the planner section it was solved with, the plan it holds and the bits it plans for net."""
+    def parse(doc: dict) -> tuple[PlannerConfig, PlanResult, quant.BitConfig]:
         planner_doc = doc.pop("planner", None)
         plan = build(PlanResult, doc)
-        if any(b not in (BIT_LOW, BIT_HIGH) for b in plan.weight_bits):
-            raise ConfigError(f"weight_bits must be a list of {BIT_LOW} and {BIT_HIGH}, got {plan.weight_bits}")
-        return build(PlannerConfig, planner_doc, "planner."), plan
+        wb, count = plan.weight_bits, len(m.weighted_layers(net))
+        if any(b not in (BIT_LOW, BIT_HIGH) for b in wb):
+            raise ConfigError(f"weight_bits must be a list of {BIT_LOW} and {BIT_HIGH}, got {wb}")
+        planner_cfg = build(PlannerConfig, planner_doc, "planner.")
+        if len(wb) != count:
+            raise ConfigError(f"weight_bits covers {len(wb)} layers, the model has {count} weighted layers")
+        return planner_cfg, plan, quant.BitConfig(wb, [8] * count if planner_cfg.activation_bits == "8" else list(wb))
 
-    return _read_artifact(_out(cfg) / ART_PLAN, "plan", parse)
-
-
-def _planned_bits(cfg: PipelineConfig, net: m.ModelGraph) -> quant.BitConfig:
-    planner_cfg, plan = _load_plan(cfg)
-    wb, count = plan.weight_bits, len(m.weighted_layers(net))
-    if len(wb) != count:
-        raise ConfigError(f"{ART_PLAN}: weight_bits covers {len(wb)} layers, the model has {count} weighted "
-                          f"layers: rerun `mixbit plan`")
-    return quant.BitConfig(wb, [8] * len(wb) if planner_cfg.activation_bits == "8" else list(wb))
+    return _read_artifact(_out(cfg) / ART_PLAN, parse)
 
 
 @dataclass(frozen=True)
@@ -322,8 +314,8 @@ class _QuantizedFile:
     layers: list[_QuantizedLayer]
 
 
-def _load_quantized(cfg: PipelineConfig, net: m.ModelGraph) -> tuple[quant.BitConfig, quant.QuantizedModel]:
-    """The planned bits, and the model that quantized.json and quantized.bin hold for them.
+def _load_quantized(cfg: PipelineConfig, net: m.ModelGraph, bits: quant.BitConfig) -> quant.QuantizedModel:
+    """The model that quantized.json and quantized.bin hold for the planned bits.
 
     Each layer's codes must follow the previous layer's in the blob, match
     the model's weight in count and shape, and lie in its grid's range, and
@@ -331,7 +323,6 @@ def _load_quantized(cfg: PipelineConfig, net: m.ModelGraph) -> tuple[quant.BitCo
     plan's is stale.
     """
     out = _out(cfg)
-    bits = _planned_bits(cfg, net)
 
     def parse(doc: dict) -> quant.QuantizedModel:
         qf = build(_QuantizedFile, doc)
@@ -354,13 +345,13 @@ def _load_quantized(cfg: PipelineConfig, net: m.ModelGraph) -> tuple[quant.BitCo
                 raise ValueError(f"layer {idx}: codes outside [{w.qmin}, {w.qmax}]")
         return quant.QuantizedModel(net, grids, [layer.activation for layer in qf.layers], codes)
 
-    qm = _read_artifact(out / ART_QUANTIZED, "quantize", parse)
+    qm = _read_artifact(out / ART_QUANTIZED, parse)
     stored = quant.BitConfig([p.bits for p in qm.weight_params], [p.bits for p in qm.act_params])
     if stored != bits:
         raise ConfigError(f"{ART_QUANTIZED} holds weight bits {stored.weight_bits} and activation bits "
                           f"{stored.activation_bits}, {ART_PLAN} plans {bits.weight_bits} and "
-                          f"{bits.activation_bits}: rerun `mixbit quantize`")
-    return bits, qm
+                          f"{bits.activation_bits}: rerun `mixbit {_PRODUCERS[ART_QUANTIZED]}`")
+    return qm
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +401,7 @@ def stage_profile(cfg: PipelineConfig) -> HwProfile:
 
 
 def stage_plan(cfg: PipelineConfig) -> PlanResult:
-    report = _read_artifact(_out(cfg) / ART_SENSITIVITY, "sense", SensitivityReport.from_dict)
+    report = _read_artifact(_out(cfg) / ART_SENSITIVITY, SensitivityReport.from_dict)
     plan = plan_pipeline(report, _load_profile(cfg), cfg.planner)
     _write_json(_out(cfg) / ART_PLAN, {"planner": dataclasses.asdict(cfg.planner), **dataclasses.asdict(plan)})
     log.info("plan: %s (objective %.6g)", plan.weight_bits, plan.objective)
@@ -419,7 +410,7 @@ def stage_plan(cfg: PipelineConfig) -> PlanResult:
 
 def stage_quantize(cfg: PipelineConfig) -> quant.QuantizedModel:
     net, _ = ensure_model(cfg)
-    qm = quant.quantize_model(net, _planned_bits(cfg, net), _load_distilled(cfg, net))
+    qm = quant.quantize_model(net, _load_plan(cfg, net)[2], _load_distilled(cfg, net))
     layers, offset = [], 0
     for idx, wp, ap, codes in zip(m.weighted_layers(net), qm.weight_params, qm.act_params, qm.weight_codes):
         grid = _WeightGrid(**dataclasses.asdict(wp), offset=offset, count=codes.size, shape=list(codes.shape))
@@ -434,7 +425,8 @@ def stage_quantize(cfg: PipelineConfig) -> quant.QuantizedModel:
 
 def stage_eval(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
-    planned_bits, planned = _load_quantized(cfg, net)
+    *_, planned_bits = _load_plan(cfg, net)
+    planned = _load_quantized(cfg, net, planned_bits)
     batch = _load_distilled(cfg, net)
     profile = _load_profile(cfg)
     count = len(m.weighted_layers(net))
@@ -484,9 +476,7 @@ _VOLATILE_META = ("timestamp", "model_path", "canonical_sha256")
 
 def canonical_hash(report: dict) -> str:
     """Hash of the report with the volatile meta fields removed."""
-    doc = copy.deepcopy(report)
-    for key in _VOLATILE_META:
-        doc.get("meta", {}).pop(key, None)
+    doc = {**report, "meta": {k: v for k, v in report["meta"].items() if k not in _VOLATILE_META}}
     return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
@@ -502,17 +492,21 @@ def assemble_report(cfg: PipelineConfig) -> dict:
     net, model_path = ensure_model(cfg)
     digest = _model_digest(model_path)
     out = _out(cfg)
-    try:
-        # keep the report independent of where the output directory lives
+    if model_path.resolve().is_relative_to(out.resolve()):  # keep the report independent of where out lives
         model_path = model_path.resolve().relative_to(out.resolve())
-    except ValueError:
-        pass
-    sense = _read_artifact(out / ART_SENSITIVITY, "sense", SensitivityReport.from_dict)
+    sense = _read_artifact(out / ART_SENSITIVITY, SensitivityReport.from_dict)
     profile = _load_profile(cfg)
-    planner_cfg, plan = _load_plan(cfg)
-    planned_bits, _ = _load_quantized(cfg, net)
+    planner_cfg, plan, planned_bits = _load_plan(cfg, net)
+    _load_quantized(cfg, net, planned_bits)
     size = quant.model_size(net, planned_bits)
-    eval_doc = _read_artifact(out / ART_EVAL, "eval")
+
+    def parse_eval(doc: dict) -> dict:  # checks what stage_report prints
+        for name, r in checked(doc["variants"], dict, "variants").items():
+            for key, kind in (("accuracy", float), ("agreement", float), ("total_cycles", int)):
+                checked(r[key], kind, f"variants.{name}.{key}")
+        return doc
+
+    eval_doc = _read_artifact(out / ART_EVAL, parse_eval)
 
     blend = blend_scores(sense.omega, profile, planner_cfg.beta, planner_cfg.gamma)
     layer_rows = []
@@ -566,13 +560,7 @@ def assemble_report(cfg: PipelineConfig) -> dict:
     return report
 
 
-def stage_pipeline(cfg: PipelineConfig) -> dict:
-    stage_distill(cfg)
-    stage_sense(cfg)
-    stage_profile(cfg)
-    stage_plan(cfg)
-    stage_quantize(cfg)
-    stage_eval(cfg)
+def stage_report(cfg: PipelineConfig) -> dict:
     report = assemble_report(cfg)
     out = _out(cfg)
     _write_json(out / ART_REPORT_JSON, report)
@@ -591,20 +579,31 @@ def stage_pipeline(cfg: PipelineConfig) -> dict:
     return report
 
 
+def stage_pipeline(cfg: PipelineConfig) -> None:
+    for name in _STAGES:
+        if name != "pipeline":
+            globals()[f"stage_{name}"](cfg)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
 
-# subcommand -> (stage, help text)
-_STAGES = {
-    "distill": (stage_distill, "synthesize a calibration batch from batch-norm statistics"),
-    "sense": (stage_sense, "score per-layer sensitivity on the distilled batch"),
-    "profile": (stage_profile, "cost every layer on the accelerator model"),
-    "plan": (stage_plan, "solve the bit allocation under the size budget"),
-    "quantize": (stage_quantize, "freeze grids and integer weights for the planned bits"),
-    "eval": (stage_eval, "compare fp32 / int8 / int4 / planned variants"),
-    "pipeline": (stage_pipeline, "run all stages and write the final report"),
-}
+# subcommand -> (help text, the artifacts its stage writes), in pipeline order. Each
+# subcommand is its stage function's name without "stage_", and runs by that module-level
+# name, so that a wrapper installed on the module (a profiler's) sees the call.
+_STAGES = {stage.__name__.removeprefix("stage_"): (help_text, writes) for stage, help_text, writes in (
+    (stage_distill, "synthesize a calibration batch from batch-norm statistics", (ART_DISTILLED, "distilled.bin")),
+    (stage_sense, "score per-layer sensitivity on the distilled batch", (ART_SENSITIVITY,)),
+    (stage_profile, "cost every layer on the accelerator model", (ART_PROFILE_JSON, ART_PROFILE_CSV)),
+    (stage_plan, "solve the bit allocation under the size budget", (ART_PLAN,)),
+    (stage_quantize, "freeze grids and integer weights for the planned bits", (ART_QUANTIZED, "quantized.bin")),
+    (stage_eval, "compare fp32 / int8 / int4 / planned variants", (ART_EVAL,)),
+    (stage_report, "assemble the final report from the stage artifacts", (ART_REPORT_JSON, ART_REPORT_CSV)),
+    (stage_pipeline, "run all stages and write the final report", ()),
+)}
+# artifact -> the subcommand that writes it, named by every "run `mixbit …`" hint
+_PRODUCERS = {artifact: name for name, (_, writes) in _STAGES.items() for artifact in writes}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -614,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mixbit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _STAGES.items():
+    for name, (help_text, _) in _STAGES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: out)")
@@ -636,7 +635,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args)
         write_bundled_model(cfg, args.command)
-        _STAGES[args.command][0](cfg)
+        globals()[f"stage_{args.command}"](cfg)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

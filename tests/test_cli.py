@@ -1,5 +1,7 @@
 import argparse
+import copy
 import dataclasses
+import hashlib
 import json
 import shutil
 from unittest import mock
@@ -135,13 +137,20 @@ def light_config(tmp_path_factory):
     return str(path)
 
 
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(light_config, tmp_path_factory):
     out = tmp_path_factory.mktemp("run_a")
     rc = cli.main(["pipeline", "--config", light_config, "--out", str(out), "--seed", "0"])
     assert rc == cli.EXIT_OK
     report = json.loads((out / cli.ART_REPORT_JSON).read_text())
-    return out, report
+    made = _digests(out)
+    yield out, report
+    # tests that rerun a stage work on a copy, so every test reads what the pipeline made
+    assert _digests(out) == made, "a test changed the shared pipeline run"
 
 
 # name -> (artifact, edit, dotted key the reader names, stages that read the artifact)
@@ -268,7 +277,7 @@ class TestDeterminism:
         out_b = tmp_path / "run_b"
         rc = cli.main(["pipeline", "--config", light_config, "--out", str(out_b), "--seed", "0"])
         assert rc == cli.EXIT_OK
-        _, report_a = pipeline_run
+        report_a = copy.deepcopy(pipeline_run[1])
         report_b = json.loads((out_b / cli.ART_REPORT_JSON).read_text())
 
         assert cli.canonical_hash(report_a) == cli.canonical_hash(report_b)
@@ -280,14 +289,24 @@ class TestDeterminism:
     def test_stagewise_run_reproduces_pipeline_report(self, light_config, pipeline_run,
                                                       tmp_path):
         out_c = tmp_path / "run_c"
-        for stage in ("distill", "sense", "profile", "plan", "quantize", "eval"):
+        for stage in ("distill", "sense", "profile", "plan", "quantize", "eval", "report"):
             rc = cli.main([stage, "--config", light_config, "--out", str(out_c), "--seed", "0"])
             assert rc == cli.EXIT_OK, stage
-        cfg = cli.load_config(light_config, _overrides(out=str(out_c), seed=0))
-        report_c = cli.assemble_report(cfg)
-        _, report_a = pipeline_run
+        out_a, report_a = pipeline_run
+        report_c = json.loads((out_c / cli.ART_REPORT_JSON).read_text())
         assert cli.canonical_hash(report_c) == cli.canonical_hash(report_a)
+        untimed = [{**r, "meta": {**r["meta"], "timestamp": None}} for r in (report_a, report_c)]
+        assert untimed[0] == untimed[1]
+        assert (out_c / cli.ART_REPORT_CSV).read_bytes() == (out_a / cli.ART_REPORT_CSV).read_bytes()
 
+    @pytest.mark.parametrize("run", [cli.assemble_report, cli.stage_eval, cli.stage_quantize],
+                             ids=["report", "eval", "quantize"])
+    def test_plan_json_is_parsed_once(self, light_config, pipeline_run, tmp_path, run):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        with mock.patch.object(cli, "build", wraps=cli.build) as build:
+            run(cli.load_config(light_config, _overrides(out=str(out), seed=0)))
+        assert [c.args[0] for c in build.call_args_list].count(planner.PlanResult) == 1
 
     def test_hash_independent_of_model_location(self, light_config, pipeline_run, tmp_path):
         out, report_a = pipeline_run
@@ -358,8 +377,9 @@ class TestDeterminism:
 
 
 class TestStageFlags:
-    def test_plan_ratio_extremes(self, light_config, pipeline_run):
-        out, _ = pipeline_run
+    def test_plan_ratio_extremes(self, light_config, pipeline_run, tmp_path):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
         rc = cli.main(["plan", "--config", light_config, "--out", str(out), "--ratio", "0.0"])
         assert rc == cli.EXIT_OK
         assert json.loads((out / cli.ART_PLAN).read_text())["weight_bits"] == [4] * 5
@@ -380,8 +400,9 @@ class TestStageFlags:
         plan = json.loads((out / cli.ART_PLAN).read_text())
         assert (plan["weight_bits"], plan["achieved_size_bits"], plan["limit_bits"]) == ([4, 4], 168, 168)
 
-    def test_method_override(self, light_config, pipeline_run):
-        out, _ = pipeline_run
+    def test_method_override(self, light_config, pipeline_run, tmp_path):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
         rc = cli.main(["sense", "--config", light_config, "--out", str(out),
                        "--seed", "0", "--method", "naive"])
         assert rc == cli.EXIT_OK
@@ -389,8 +410,9 @@ class TestStageFlags:
         assert doc["method"] == "naive"
         assert doc["alpha"] is None
 
-    def test_activation_bits_override(self, light_config, pipeline_run):
-        out, _ = pipeline_run
+    def test_activation_bits_override(self, light_config, pipeline_run, tmp_path):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
         rc = cli.main(["plan", "--config", light_config, "--out", str(out),
                        "--bits-activations", "8"])
         assert rc == cli.EXIT_OK
@@ -425,12 +447,40 @@ class TestExitCodes:
         synthesize.assert_not_called()
         assert "output_dir: cannot make directory" in capsys.readouterr().err
 
-    def test_missing_artifact_names_prior_stage(self, tmp_path, capsys):
-        rc = cli.main(["sense", "--out", str(tmp_path / "fresh")])
-        assert rc == cli.EXIT_CONFIG
+    @pytest.mark.parametrize("command, missing, producer", [
+        ("sense", cli.ART_DISTILLED, "distill"),
+        ("plan", cli.ART_SENSITIVITY, "sense"),
+        ("plan", cli.ART_PROFILE_JSON, "profile"),
+        ("quantize", cli.ART_PLAN, "plan"),
+        ("eval", cli.ART_QUANTIZED, "quantize"),
+        ("report", cli.ART_EVAL, "eval"),
+    ])
+    def test_missing_artifact_names_prior_stage(self, light_config, pipeline_run, tmp_path, capsys,
+                                                command, missing, producer):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        (out / missing).unlink()
+        assert cli.main([command, "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "distilled.json" in err
-        assert "mixbit distill" in err
+        assert f"missing artifact {missing}: run `mixbit {producer}` first" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("variants"), "KeyError('variants')"),
+        (lambda d: d["variants"]["planned"].update(accuracy="x"),
+         'variants.planned.accuracy: expected a number, got "x"'),
+    ], ids=["no_variants", "string_accuracy"])
+    def test_malformed_eval_json_exits_2_in_report(self, light_config, pipeline_run, tmp_path, capsys, edit,
+                                                   message):
+        # the report checks what its summary prints before it writes anything
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_EVAL).read_text())
+        edit(doc)
+        (out / cli.ART_EVAL).write_text(json.dumps(doc))
+        assert cli.main(["report", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert cli.ART_EVAL in err and message in err and "rerun `mixbit eval`" in err
+        assert (out / cli.ART_REPORT_JSON).read_bytes() == (pipeline_run[0] / cli.ART_REPORT_JSON).read_bytes()
 
     def test_invalid_json_artifact(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -113,10 +113,11 @@ def test_mutated_manifest_loads_or_raises_model_error(saved_toy, data):
 # each fuzzed artifact -> the stages that read it
 _READERS = {
     cli.ART_DISTILLED: ("sense",),
-    cli.ART_SENSITIVITY: ("plan",),
-    cli.ART_PROFILE_JSON: ("plan", "eval"),
-    cli.ART_PLAN: ("quantize", "eval"),
-    cli.ART_QUANTIZED: ("eval",),
+    cli.ART_SENSITIVITY: ("plan", "report"),
+    cli.ART_PROFILE_JSON: ("plan", "eval", "report"),
+    cli.ART_PLAN: ("quantize", "eval", "report"),
+    cli.ART_QUANTIZED: ("eval", "report"),
+    cli.ART_EVAL: ("report",),
 }
 _VALUES = st.integers(-5, 3000) | st.sampled_from(
     [True, None, 0.5, -1.5, 1e308, float("nan"), float("inf"), "4", "", [], [4], {}])
@@ -128,7 +129,7 @@ def stagewise_run(tmp_path_factory):
     config = root / "config.json"
     config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 4}, "eval": {"samples": 8}}))
     out = root / "out"
-    for stage in ("distill", "sense", "profile", "plan", "quantize"):
+    for stage in ("distill", "sense", "profile", "plan", "quantize", "eval"):
         assert cli.main([stage, "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
     return config, out, {name: json.loads((out / name).read_text()) for name in _READERS}
 
