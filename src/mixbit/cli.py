@@ -318,9 +318,9 @@ def _load_quantized(cfg: PipelineConfig, net: m.ModelGraph, bits: quant.BitConfi
     """The model that quantized.json and quantized.bin hold for the planned bits.
 
     Each layer's codes must follow the previous layer's in the blob, match
-    the model's weight in count and shape, and lie in its grid's range, and
-    the blob must hold no more. A file whose grids have other bits than the
-    plan's is stale.
+    the model's weight in count and shape, and lie in its grid's range, the
+    blob must hold no more, and no grid may dequantize past float32's range.
+    A file whose grids have other bits than the plan's is stale.
     """
     out = _out(cfg)
 
@@ -334,7 +334,10 @@ def _load_quantized(cfg: PipelineConfig, net: m.ModelGraph, bits: quant.BitConfi
         if blob.size != (total := sum(w.count for w in grids)):
             raise ValueError(f"{qf.blob} holds {blob.size} codes, the layers {total}")
         codes, end = [], 0
-        for idx, w in zip(m.weighted_layers(net), grids):
+        for idx, w, act in zip(m.weighted_layers(net), grids, [layer.activation for layer in qf.layers]):
+            for kind, p in (("weight", w), ("activation", act)):  # before anything is dequantized
+                if not p.scale * max(-p.qmin - p.zero_point, p.qmax + p.zero_point) <= np.finfo(np.float32).max:
+                    raise ValueError(f"layer {idx}: the {kind} grid's scale {p.scale} dequantizes past float32")
             shape = list(net.layers[idx].weight.shape)
             if (w.offset, w.count, w.shape) != (end, math.prod(shape), shape):
                 raise ValueError(f"layer {idx}: codes at offset {w.offset}, count {w.count}, shape {w.shape}, "
@@ -434,7 +437,6 @@ def stage_eval(cfg: PipelineConfig) -> dict:
 
     _, calib = m.forward(net, batch, record=True)  # shared by every uniform variant's grids
     models = [quant.quantize_model(net, bit_cfg, batch, calib) for bit_cfg in variants.values()]
-    del calib  # every grid is frozen; the chunks need only the models
     variants["planned"] = planned_bits
     models.append(planned)  # the model quantize wrote
     # one draw of the eval set, a chunk at a time, runs every variant; only predictions are kept

@@ -4,8 +4,8 @@ Feature maps are float32 numpy arrays of NCHW shape; conv kernels are laid
 out (out_c, in_c, k_h, k_w). A conv writes its output in NHWC memory and
 returns the NCHW-shaped transpose of it: elementwise numpy ops keep their
 input's memory order, so the layers after it work on NHWC memory unchanged,
-while the input batch, every recorded activation and the flatten before a
-linear layer stay NCHW to their readers. Real arithmetic is float32
+while the input batch, every activation run_layers returns and the flatten
+before a linear layer stay NCHW to their readers. Real arithmetic is float32
 throughout the engine, with batch statistics accumulated in float64. The
 only backward pass implemented is the gradient with respect to the input
 batch, which is all the calibration-data synthesizer needs; weights are
@@ -131,17 +131,17 @@ class ModelGraph:
 
 @dataclass
 class ForwardTrace:
-    """Activations and per-channel input statistics captured during forward.
+    """Statistics of the layer inputs a recorded forward pass saw, keyed by layer index.
 
-    activations[i] is the tensor layer i consumed; activations[-1] is the
-    logits. bn_means/bn_stds hold float64 population statistics of each
-    BatchNorm layer's input, keyed by layer index. The trace of the distill
-    gradient pass (_stat_loss_and_gradient) holds no activations.
+    bn_means/bn_stds hold float64 population statistics of each BatchNorm
+    layer's input; ranges[i] is the float32 [min, max] of each weighted layer's
+    input. No activation is kept. The trace of the distill gradient pass
+    (_stat_loss_and_gradient) holds no ranges.
     """
 
-    activations: list
     bn_means: dict
     bn_stds: dict
+    ranges: dict
 
 
 def weighted_layers(model: ModelGraph) -> list[int]:
@@ -349,7 +349,7 @@ def _dead_after(model: ModelGraph) -> dict:
 
 
 def run_layers(model: ModelGraph, batch: np.ndarray, weight_fn=None, input_fn=None,
-               prefix=(), keep: bool = True) -> list:
+               prefix=(), keep: bool = True, observe=None) -> list:
     """Apply the layers in order and return the activation list.
 
     acts[0] is the input batch and acts[i + 1] the output of layer i.
@@ -357,6 +357,8 @@ def run_layers(model: ModelGraph, batch: np.ndarray, weight_fn=None, input_fn=No
     and input_fn(i, x) may transform the tensor it consumes; both default to
     identity. The fake-quantized forward pass supplies these hooks, so with
     identity hooks the arithmetic path is bitwise the plain forward pass.
+    observe(i, layer, x), if given, sees acts[i] before layer i runs; it may
+    change that layer's parameters, which the layer then runs with.
 
     `prefix` resumes an earlier run over the same batch: it holds that run's
     acts[1..s], which must not depend on anything the hooks change for
@@ -369,6 +371,8 @@ def run_layers(model: ModelGraph, batch: np.ndarray, weight_fn=None, input_fn=No
     for i in range(len(prefix), len(model.layers)):
         layer = model.layers[i]
         x = acts[i]
+        if observe is not None:
+            observe(i, layer, x)
         if isinstance(layer, Conv2d):
             if input_fn is not None:
                 x = input_fn(i, x)
@@ -419,20 +423,22 @@ def _channel_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
     """Run the model; returns (logits, trace) with trace None unless record.
 
-    Recording captures per-layer inputs and float64 batch statistics of every
-    BatchNorm input without touching the arithmetic path, so logits are
-    bitwise identical with and without it.
+    Recording takes the statistics of a ForwardTrace from each layer input as
+    it goes by, without touching the arithmetic path, so logits are bitwise
+    identical with and without it, and both passes free each activation as
+    soon as no later layer reads it.
     """
     validate_model(model)
     batch = _check_batch(model, batch)
-    acts = run_layers(model, batch, keep=record)
-    trace = None
-    if record:
-        means, stds = {}, {}
-        for i in bn_layers(model):
-            means[i], stds[i] = _channel_stats(acts[i])[:2]
-        trace = ForwardTrace(activations=acts, bn_means=means, bn_stds=stds)
-    return acts[-1], trace
+    trace = ForwardTrace({}, {}, {}) if record else None
+
+    def observe(i, layer, x):
+        if isinstance(layer, WEIGHTED):
+            trace.ranges[i] = np.array([x.min(), x.max()], dtype=np.float32)
+        elif isinstance(layer, BatchNorm):
+            trace.bn_means[i], trace.bn_stds[i] = _channel_stats(x)[:2]
+
+    return run_layers(model, batch, keep=False, observe=observe if record else None)[-1], trace
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +529,7 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
             centered *= ds[None, :, None, None]
             centered += dm[None, :, None, None]
             grads[i] = centered.astype(np.float32)
-    trace = ForwardTrace([], means, stds)
+    trace = ForwardTrace(means, stds, {})
     if not backward:
         return trace, None
 

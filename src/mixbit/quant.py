@@ -4,9 +4,9 @@ Integer codes live in [-2^(b-1), 2^(b-1) - 1]. A value x maps to
 round(x / scale) - zero_point with round half away from zero, and back to
 scale * (q + zero_point), so the stored zero point is subtracted on the way
 in and added back on the way out. Weights use symmetric per-tensor grids,
-activations asymmetric per-tensor grids calibrated from one recorded forward
-pass. Bit-width 32 is a passthrough sentinel: no grid is built and the
-fake-quantized forward is bitwise the float forward.
+activations asymmetric per-tensor grids calibrated from each input's range in
+one recorded forward pass. Bit-width 32 is a passthrough sentinel: no grid is
+built and the fake-quantized forward is bitwise the float forward.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
     """Freeze quantization grids for every weighted layer.
 
     Weights calibrate symmetrically from their own values; activations
-    calibrate asymmetrically from the tensors observed at each weighted
-    layer's input during one recorded forward pass over `calib_batch`.
+    calibrate asymmetrically from the [min, max] of each weighted layer's
+    input in one recorded forward pass over `calib_batch` (trace.ranges).
     `calib_trace` may supply that recorded pass, so that callers quantizing
     one model several times over the same batch run it once; when every
     activation width is passthrough, no grid reads the pass and only the
@@ -221,7 +221,7 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
         if ab == PASSTHROUGH_BITS:
             aparams.append(None)
         else:
-            aparams.append(calibrate_minmax(trace.activations[idx], ab, symmetric=False))
+            aparams.append(calibrate_minmax(trace.ranges[idx], ab, symmetric=False))
     return QuantizedModel(model, wparams, aparams, codes)
 
 

@@ -45,16 +45,19 @@ def _bn(channels) -> m.BatchNorm:
 def _freeze_bn_stats(model: m.ModelGraph, seed: int) -> None:
     """Set each BN's running stats to its observed input stats on a probe batch.
 
-    Sequential, front to back: fixing one BN changes what deeper BNs see, so
-    each gets a fresh recorded pass before its statistics are frozen.
+    One pass, front to back: each BN is frozen from its input just before it
+    runs, so every later layer already sees it frozen.
     """
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal((_PROBE_BATCH, *model.input_shape), dtype=np.float32)
-    for i in m.bn_layers(model):
-        _, trace = m.forward(model, probe, record=True)
-        layer = model.layers[i]
-        layer.running_mean = trace.bn_means[i].astype(np.float32)
-        layer.running_var = np.maximum(trace.bn_stds[i] ** 2, _VAR_FLOOR).astype(np.float32)
+
+    def freeze(i, layer, x):
+        if isinstance(layer, m.BatchNorm):
+            mean, std = m._channel_stats(x)[:2]
+            layer.running_mean = mean.astype(np.float32)
+            layer.running_var = np.maximum(std ** 2, _VAR_FLOOR).astype(np.float32)
+
+    m.run_layers(model, probe, keep=False, observe=freeze)
 
 
 def tiny_cnn(seed: int = 0) -> m.ModelGraph:

@@ -214,6 +214,22 @@ def test_distill_step_frees_activations_and_gradients_below_their_layer():
     assert peak < 22e6, peak
 
 
+def test_recorded_forward_peaks_no_higher_than_a_plain_one():
+    # recording keeps per-layer statistics, not activations
+    net = res32_net(0)
+    x = np.random.default_rng(2).standard_normal((64, *net.input_shape), dtype=np.float32)
+    m.forward(net, x, record=True)  # first-call allocations stay out of the peaks
+    peaks = {}
+    for record in (False, True):
+        tracemalloc.start()
+        try:
+            m.forward(net, x, record=record)
+            peaks[record] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[True] <= 1.1 * peaks[False], peaks
+
+
 # ---------------------------------------------------------------------------
 # eval memory
 

@@ -683,6 +683,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert cli.ART_QUANTIZED in err and message in err and "rerun `mixbit quantize`" in err
 
+    @pytest.mark.parametrize("grid", ["weight", "activation"])
+    def test_grid_that_dequantizes_past_float32_exits_2(self, light_config, pipeline_run, tmp_path, capsys, grid):
+        # refused before anything is dequantized: no overflow warning, which
+        # the suite turns into an error, and no exit 4 from a non-finite layer
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_QUANTIZED).read_text())
+        doc["layers"][2][grid]["scale"] = 1e308
+        (out / cli.ART_QUANTIZED).write_text(json.dumps(doc))
+        assert cli.main(["eval", "--config", light_config, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        idx = doc["layers"][2]["layer_index"]
+        assert cli.ART_QUANTIZED in err and f"layer {idx}: the {grid} grid's scale 1e+308" in err
+        assert "rerun `mixbit quantize`" in err
+
     @pytest.mark.parametrize("artifact, edit, key, command", [
         pytest.param(artifact, edit, key, command, id=f"{name}-{command}")
         for name, (artifact, edit, key, commands) in _STORED_SECTION_MUTATIONS.items() for command in commands

@@ -5,6 +5,7 @@ package's fused, resumed or cached version must reproduce it with equal
 bits, not within a tolerance.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_fused_loss_matches_recorded_forward():
     x = _batch(net, 6, 7)
     fused, grad = m._stat_loss_and_gradient(net, x, m.bn_targets(net))
     _, trace = m.forward(net, x, record=True)
-    assert fused.activations == []
+    assert fused.ranges == {}
     for stats, recorded in ((fused.bn_means, trace.bn_means), (fused.bn_stds, trace.bn_stds)):
         assert list(stats) == list(recorded)
         assert all(_same_bits(stats[i], recorded[i]) for i in stats)
@@ -164,9 +165,42 @@ def test_forward_logits_same_with_and_without_record():
     net = zoo.toy_cnn(0)
     x = _batch(net, 5, 11)
     plain, _ = m.forward(net, x, record=False)
-    recorded, trace = m.forward(net, x, record=True)
+    recorded, _ = m.forward(net, x, record=True)
     assert _same_bits(plain, recorded)
-    assert _same_bits(trace.activations[-1], recorded)
+    assert _same_bits(m.run_layers(net, x)[-1], recorded)
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_trace_ranges_are_the_bounds_of_each_weighted_layers_input(name):
+    net = NETS[name](0)
+    x = _batch(net, 5, 14)
+    _, trace = m.forward(net, x, record=True)
+    acts = m.run_layers(net, x)
+    assert list(trace.ranges) == m.weighted_layers(net)
+    for i, bounds in trace.ranges.items():
+        assert _same_bits(bounds, np.array([acts[i].min(), acts[i].max()], dtype=np.float32))
+        for bits in (4, 8):
+            assert quant.calibrate_minmax(bounds, bits, False) == quant.calibrate_minmax(acts[i], bits, False)
+
+
+def _freeze_per_bn(net, seed):
+    """The reference freeze: a full pass over the probe batch per BatchNorm, front to back."""
+    probe = np.random.default_rng(seed).standard_normal((zoo._PROBE_BATCH, *net.input_shape), dtype=np.float32)
+    for i in m.bn_layers(net):
+        mean, std = m._channel_stats(m.run_layers(net, probe)[i])[:2]
+        net.layers[i].running_mean = mean.astype(np.float32)
+        net.layers[i].running_var = np.maximum(std ** 2, zoo._VAR_FLOOR).astype(np.float32)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_one_pass_bn_freeze_matches_a_pass_per_bn(name, seed):
+    net = NETS[name](seed)
+    ref = copy.deepcopy(net)
+    for i in m.bn_layers(ref):
+        ref.layers[i] = zoo._bn(ref.layers[i].channels)  # the statistics the builder starts from
+    _freeze_per_bn(ref, seed + 1)  # the builders probe with seed + 1
+    assert m.model_files(net, "model.json") == m.model_files(ref, "model.json")
 
 
 def test_run_layers_frees_activations_after_their_last_reader():

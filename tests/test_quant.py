@@ -191,11 +191,11 @@ class TestQuantizeModel:
         batch = rng.standard_normal((4, 3, 2, 2), dtype=np.float32)
         qm = quant.quantize_model(net, quant.BitConfig.uniform(1, 8), batch)
         got = quant.quantized_forward(qm, batch)
-        plain, trace = m.forward(net, batch, record=True)
+        plain, _ = m.forward(net, batch)
 
         lin = net.layers[2]
         slot_idx = m.weighted_layers(net)[0]
-        x = trace.activations[slot_idx].reshape(batch.shape[0], -1).astype(np.float64)
+        x = m.run_layers(net, batch)[slot_idx].reshape(batch.shape[0], -1).astype(np.float64)
         xq = quant.fake_quantize(x, qm.act_params[0]).astype(np.float64)
         assert np.abs(xq - x).max() <= qm.act_params[0].scale / 2 + 1e-12
         wq = quant.dequantize(qm.weight_codes[0], qm.weight_params[0]).astype(np.float64)

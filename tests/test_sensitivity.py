@@ -130,14 +130,14 @@ def _softmax_ref(z):
 def _mqe_oracle(net, batch, alpha, seed, bits=8):
     """Score layers with quantization/masking primitives spelled out inline."""
     slots = m.weighted_layers(net)
-    _, trace = m.forward(net, batch, record=True)
+    acts = m.run_layers(net, batch)
     wparams, codes, aparams = [], [], []
     for i in slots:
         layer = net.layers[i]
         wp = quant.calibrate_minmax(layer.weight, bits, symmetric=True)
         wparams.append(wp)
         codes.append(quant.quantize(layer.weight, wp))
-        aparams.append(quant.calibrate_minmax(trace.activations[i], bits, symmetric=False))
+        aparams.append(quant.calibrate_minmax(acts[i], bits, symmetric=False))
 
     pos_of = {i: p for p, i in enumerate(slots)}
 
