@@ -63,6 +63,8 @@ _DIVERGENCE_PATIENCE = 50
 _DIVERGENCE_FACTOR = 10.0
 
 
+# an overflowing step fails the next pass's finiteness check, which names the layer
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> SyntheticBatch:
     """Distill a calibration batch by descending the statistic-matching loss.
 

@@ -5,11 +5,11 @@ out (out_c, in_c, k_h, k_w). A conv writes its output in NHWC memory and
 returns the NCHW-shaped transpose of it: elementwise numpy ops keep their
 input's memory order, so the layers after it work on NHWC memory unchanged,
 while the input batch, every activation run_layers returns and the flatten
-before a linear layer stay NCHW to their readers. Real arithmetic is float32
-throughout the engine, with batch statistics accumulated in float64. The
-only backward pass implemented is the gradient with respect to the input
-batch, which is all the calibration-data synthesizer needs; weights are
-never updated.
+before a linear layer stay NCHW to their readers. Every forward pass is
+run_layers with at most one per-step hook (recording, BatchNorm freezing,
+fake quantization), computing in float32 with float64 batch statistics.
+The only backward pass is the input-batch gradient the calibration-data
+synthesizer needs; weights are never updated.
 
 Models serialize to a JSON manifest plus a sidecar blob of little-endian
 float32 values, concatenated in layer declaration order, so a save/load
@@ -295,26 +295,25 @@ def _window_gemm(x_nhwc: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride:
     return out.reshape(n, oh, ow, -1)
 
 
-def _conv_forward(layer: Conv2d, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _conv_forward(layer: Conv2d, x: np.ndarray) -> np.ndarray:
     """Convolution by _window_gemm; the result has NCHW shape over NHWC memory."""
     oh, ow = _conv_out_hw(x.shape[2], x.shape[3], layer)
     p = layer.padding
-    out = _window_gemm(x.transpose(0, 2, 3, 1), _kernel_rows(weight), layer.kernel_h, layer.kernel_w,
+    out = _window_gemm(x.transpose(0, 2, 3, 1), _kernel_rows(layer.weight), layer.kernel_h, layer.kernel_w,
                        layer.stride, (p, p), oh, ow)
     if layer.bias is not None:
         out += layer.bias
     return out.transpose(0, 3, 1, 2)
 
 
-def _linear_forward(layer: Linear, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    if x.ndim == 4:
-        x = x.reshape(x.shape[0], -1)
+def _linear_forward(layer: Linear, x: np.ndarray) -> np.ndarray:
+    x = x.reshape(x.shape[0], -1)
     if x.shape[1] != layer.in_features:
         raise ShapeMismatchError(f"linear expects {layer.in_features} features, got {x.shape[1]}")
     # one vector-matrix product per row, so a row's result does not depend on
     # the batch it is in: x @ weight.T picks its BLAS kernel by the row count,
     # and eval's last chunk holds eval.samples mod BLOCK rows
-    out = np.matmul(x[:, None, :], weight.T)[:, 0]
+    out = np.matmul(x[:, None, :], layer.weight.T)[:, 0]
     if layer.bias is not None:
         out = out + layer.bias[None, :]
     return out
@@ -348,20 +347,18 @@ def _dead_after(model: ModelGraph) -> dict:
     return dead
 
 
-def run_layers(model: ModelGraph, batch: np.ndarray, weight_fn=None, input_fn=None,
-               prefix=(), keep: bool = True, observe=None) -> list:
+# an overflow is reported by the finiteness check after its layer, not as a warning
+@np.errstate(over="ignore", invalid="ignore")
+def run_layers(model: ModelGraph, batch: np.ndarray, hook=None, prefix=(), keep: bool = True) -> list:
     """Apply the layers in order and return the activation list.
 
-    acts[0] is the input batch and acts[i + 1] the output of layer i.
-    weight_fn(i, layer) may substitute the weight tensor of a weighted layer
-    and input_fn(i, x) may transform the tensor it consumes; both default to
-    identity. The fake-quantized forward pass supplies these hooks, so with
-    identity hooks the arithmetic path is bitwise the plain forward pass.
-    observe(i, layer, x), if given, sees acts[i] before layer i runs; it may
-    change that layer's parameters, which the layer then runs with.
+    acts[0] is the input batch and acts[i + 1] the output of layer i. Before
+    layer i runs, hook(i, layer, acts[i]), if given, returns the (layer, x) it
+    runs: the model's layer, edited in place or not, or a stand-in for this
+    step, and acts[i] or a new input. An identity hook is bitwise the plain pass.
 
     `prefix` resumes an earlier run over the same batch: it holds that run's
-    acts[1..s], which must not depend on anything the hooks change for
+    acts[1..s], which must not depend on anything the hook changes for
     layers s and later, and the run starts at layer s. With keep=False an
     activation is replaced by None as soon as no later layer reads it, so
     only the live tensors stay in memory and acts[-1] (the logits) is kept.
@@ -369,20 +366,13 @@ def run_layers(model: ModelGraph, batch: np.ndarray, weight_fn=None, input_fn=No
     acts = [batch, *prefix]
     dead_after = None if keep else _dead_after(model)
     for i in range(len(prefix), len(model.layers)):
-        layer = model.layers[i]
-        x = acts[i]
-        if observe is not None:
-            observe(i, layer, x)
+        layer, x = model.layers[i], acts[i]
+        if hook is not None:
+            layer, x = hook(i, layer, x)
         if isinstance(layer, Conv2d):
-            if input_fn is not None:
-                x = input_fn(i, x)
-            w = layer.weight if weight_fn is None else weight_fn(i, layer)
-            y = _conv_forward(layer, x, w)
+            y = _conv_forward(layer, x)
         elif isinstance(layer, Linear):
-            if input_fn is not None:
-                x = input_fn(i, x)
-            w = layer.weight if weight_fn is None else weight_fn(i, layer)
-            y = _linear_forward(layer, x, w)
+            y = _linear_forward(layer, x)
         elif isinstance(layer, BatchNorm):
             y = _bn_forward(layer, x)
         elif isinstance(layer, ReLU):
@@ -423,8 +413,8 @@ def _channel_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
     """Run the model; returns (logits, trace) with trace None unless record.
 
-    Recording takes the statistics of a ForwardTrace from each layer input as
-    it goes by, without touching the arithmetic path, so logits are bitwise
+    Recording is a run_layers hook that takes the statistics of a ForwardTrace
+    from each layer input and returns its arguments, so logits are bitwise
     identical with and without it, and both passes free each activation as
     soon as no later layer reads it.
     """
@@ -437,8 +427,9 @@ def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
             trace.ranges[i] = np.array([x.min(), x.max()], dtype=np.float32)
         elif isinstance(layer, BatchNorm):
             trace.bn_means[i], trace.bn_stds[i] = _channel_stats(x)[:2]
+        return layer, x
 
-    return run_layers(model, batch, keep=False, observe=observe if record else None)[-1], trace
+    return run_layers(model, batch, observe if record else None, keep=False)[-1], trace
 
 
 # ---------------------------------------------------------------------------

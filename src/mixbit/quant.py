@@ -12,7 +12,7 @@ built and the fake-quantized forward is bitwise the float forward.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -157,10 +157,10 @@ class BitConfig:
 class QuantizedModel:
     """A float model plus frozen grids and integer weight codes.
 
-    Entries are None wherever the bit config says passthrough. `weights`
-    holds the dequantized weight of each quantized slot, computed once from
-    the codes. The base model is shared, never copied; treat everything here
-    as immutable and use with_weight_codes() to derive masked variants.
+    Entries are None where the bit config says passthrough. `weights` holds
+    each quantized slot's codes dequantized once, which the fake-quantized
+    pass runs in a per-step copy of the layer, so the shared base model is
+    never written. Treat it as immutable; with_weight_codes() derives variants.
     """
 
     base: m.ModelGraph
@@ -226,22 +226,20 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
 
 
 def _quantized_run(qmodel: QuantizedModel, batch: np.ndarray, prefix, keep: bool) -> list:
+    """run_layers over qmodel.base, each quantized slot's layer and input swapped for this step only."""
     model = qmodel.base
     m.validate_model(model)
     batch = m._check_batch(model, batch)
     slot_of = {idx: pos for pos, idx in enumerate(m.weighted_layers(model))}
 
-    def weight_fn(i, layer):
-        w = qmodel.weights[slot_of[i]]
-        return layer.weight if w is None else w
+    def hook(i, layer, x):
+        if i in slot_of:
+            w, p = qmodel.weights[slot_of[i]], qmodel.act_params[slot_of[i]]
+            layer = layer if w is None else replace(layer, weight=w)
+            x = x if p is None else fake_quantize(x, p)
+        return layer, x
 
-    def input_fn(i, x):
-        p = qmodel.act_params[slot_of[i]]
-        if p is None:
-            return x
-        return fake_quantize(x, p)
-
-    return m.run_layers(model, batch, weight_fn=weight_fn, input_fn=input_fn, prefix=prefix, keep=keep)
+    return m.run_layers(model, batch, hook, prefix, keep)
 
 
 def quantized_activations(qmodel: QuantizedModel, batch: np.ndarray) -> list:

@@ -56,8 +56,9 @@ def _freeze_bn_stats(model: m.ModelGraph, seed: int) -> None:
             mean, std = m._channel_stats(x)[:2]
             layer.running_mean = mean.astype(np.float32)
             layer.running_var = np.maximum(std ** 2, _VAR_FLOOR).astype(np.float32)
+        return layer, x
 
-    m.run_layers(model, probe, keep=False, observe=freeze)
+    m.run_layers(model, probe, freeze, keep=False)
 
 
 def tiny_cnn(seed: int = 0) -> m.ModelGraph:

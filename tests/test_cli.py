@@ -698,6 +698,32 @@ class TestExitCodes:
         assert cli.ART_QUANTIZED in err and f"layer {idx}: the {grid} grid's scale 1e+308" in err
         assert "rerun `mixbit quantize`" in err
 
+    def test_grid_that_overflows_a_layer_exits_4(self, light_config, pipeline_run, tmp_path, capsys):
+        # the scale dequantizes inside float32, but layer 8's products overflow:
+        # the finiteness check names the layer, and no overflow warning is printed
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        doc = json.loads((out / cli.ART_QUANTIZED).read_text())
+        doc["layers"][2]["weight"]["scale"] = 1e36
+        (out / cli.ART_QUANTIZED).write_text(json.dumps(doc))
+        assert cli.main(["eval", "--config", light_config, "--out", str(out)]) == cli.EXIT_NUMERIC
+        idx = doc["layers"][2]["layer_index"]
+        assert f"numeric failure: non-finite values after layer {idx} (conv2d)" in capsys.readouterr().err
+
+    def test_stage_eval_leaves_the_base_model_unchanged(self, light_config, pipeline_run, tmp_path):
+        out = tmp_path / "o"
+        shutil.copytree(pipeline_run[0], out)
+        loaded = []
+
+        def load(cfg):
+            loaded.append(m.load_model(out / cli.ART_MODEL))
+            return loaded[-1], out / cli.ART_MODEL
+
+        with mock.patch.object(cli, "ensure_model", side_effect=load):
+            assert cli.main(["eval", "--config", light_config, "--out", str(out)]) == cli.EXIT_OK
+        files = m.model_files(m.load_model(out / cli.ART_MODEL), "model.json")
+        assert loaded and all(m.model_files(net, "model.json") == files for net in loaded)
+
     @pytest.mark.parametrize("artifact, edit, key, command", [
         pytest.param(artifact, edit, key, command, id=f"{name}-{command}")
         for name, (artifact, edit, key, commands) in _STORED_SECTION_MUTATIONS.items() for command in commands
@@ -856,7 +882,6 @@ class TestExitCodes:
         assert rc == cli.EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps({"distill": {"learning_rate": 500.0, "steps": 60,
@@ -865,7 +890,13 @@ class TestExitCodes:
         assert rc == cli.EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_distill_step_exits_4(self, tmp_path, capsys):
+        # the step's overflow reaches the next pass's batch check, with no warning printed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"distill": {"learning_rate": 1e30, "steps": 60, "batch_size": 4}}))
+        assert cli.main(["distill", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
+        assert "numeric failure: non-finite values in input batch" in capsys.readouterr().err
+
     def test_non_finite_after_last_batch_norm_is_found_by_sense(self, tmp_path, capsys):
         # distill runs only the layers before the BatchNorm; the linear head overflows
         net = _small_net()

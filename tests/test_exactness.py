@@ -134,7 +134,6 @@ def test_gradient_matches_zero_initialized_reference(name):
     assert _same_bits(m.input_gradient(net, x), _zero_initialized_gradient(net, x))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_fires_at_the_reference_step():
     net = zoo.tiny_cnn(0)
     config = DistillConfig(batch_size=4, steps=1, learning_rate=50.0, seed=0)
@@ -225,6 +224,34 @@ def test_run_layers_resumes_from_prefix(start):
     for a, b in zip(resumed, full):
         assert _same_bits(a, b)
     assert _same_bits(m.run_layers(net, x, prefix=full[1:start + 1], keep=False)[-1], full[-1])
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_identity_hook_is_the_plain_pass(name):
+    net = NETS[name](0)
+    x = _batch(net, 5, 15)
+    plain = m.run_layers(net, x)
+    seen = []
+
+    def hook(i, layer, a):
+        seen.append((i, a))
+        return layer, a
+
+    assert _same_bits(m.run_layers(net, x, hook)[-1], plain[-1])
+    assert [i for i, _ in seen] == list(range(len(net.layers)))
+    for i, a in seen:
+        assert _same_bits(a, plain[i])
+
+
+def test_quantized_passes_leave_the_base_model_unchanged():
+    # each quantized slot runs a stand-in layer; the shared layer is never written
+    net = zoo.toy_cnn(0)
+    files = m.model_files(net, "model.json")
+    batch = _batch(net, 6, 16)
+    qm = quant.quantize_model(net, quant.BitConfig([4, 8, 32, 8, 4], [8, 4, 8, 32, 8]), batch)
+    quant.quantized_forward(qm, batch)
+    sens.mqe_sensitivity(net, batch, alpha=0.5, seed=0)
+    assert m.model_files(net, "model.json") == files
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ _READERS = {
     cli.ART_EVAL: ("report",),
 }
 _VALUES = st.integers(-5, 3000) | st.sampled_from(
-    [True, None, 0.5, -1.5, 1e308, float("nan"), float("inf"), "4", "", [], [4], {}])
+    [True, None, 0.5, -1.5, 1e36, 1e308, float("nan"), float("inf"), "4", "", [], [4], {}])
 
 
 @pytest.fixture(scope="module")

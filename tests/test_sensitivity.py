@@ -1,3 +1,4 @@
+import dataclasses
 from contextlib import contextmanager
 from unittest import mock
 
@@ -142,15 +143,14 @@ def _mqe_oracle(net, batch, alpha, seed, bits=8):
     pos_of = {i: p for p, i in enumerate(slots)}
 
     def run(weight_codes):
-        def weight_fn(i, layer):
-            return quant.dequantize(weight_codes[pos_of[i]], wparams[pos_of[i]])
+        def hook(i, layer, x):
+            if i not in pos_of:
+                return layer, x
+            p = pos_of[i]
+            w = quant.dequantize(weight_codes[p], wparams[p])
+            return dataclasses.replace(layer, weight=w), quant.fake_quantize(x, aparams[p])
 
-        def input_fn(i, x):
-            if i in pos_of:
-                return quant.fake_quantize(x, aparams[pos_of[i]])
-            return x
-
-        return m.run_layers(net, batch, weight_fn=weight_fn, input_fn=input_fn)[-1]
+        return m.run_layers(net, batch, hook)[-1]
 
     base = _softmax_ref(run(codes))
     omega = []
