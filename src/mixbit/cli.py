@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import datetime
 import hashlib
@@ -629,7 +630,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fix_heap_thresholds() -> None:
+    """Fix glibc's heap trim threshold at 256 MB and its mmap threshold at 32 MB, where there is mallopt.
+
+    By default both follow the largest mmapped block freed so far, so larger temporaries are
+    mapped afresh, or the heap top trimmed, on every step, and their pages fault in again.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _fix_heap_thresholds()
     logging.basicConfig(level=os.environ.get("MIXBIT_LOG", "INFO").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()

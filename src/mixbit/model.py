@@ -7,9 +7,9 @@ input's memory order, so the layers after it work on NHWC memory unchanged,
 while the input batch, every activation run_layers returns and the flatten
 before a linear layer stay NCHW to their readers. Every forward pass is
 run_layers with at most one per-step hook (recording, BatchNorm freezing,
-fake quantization), computing in float32 with float64 batch statistics.
-The only backward pass is the input-batch gradient the calibration-data
-synthesizer needs; weights are never updated.
+fake quantization, the saves of the distill pass), computing in float32 with
+float64 batch statistics. The only backward pass is the input-batch gradient
+the calibration-data synthesizer needs; weights are never updated.
 
 Models serialize to a JSON manifest plus a sidecar blob of little-endian
 float32 values, concatenated in layer declaration order, so a save/load
@@ -39,13 +39,18 @@ from .errors import (
 MODEL_FORMAT = "mixbit-model"
 MODEL_FORMAT_VERSION = 1
 
-# Samples per block: the conv kernels copy NHWC window rows (and the input
-# gradient's scatter its column gradients) for this many samples at a time,
-# and evaluation runs its dataset in chunks of this size, so their working
-# memory does not grow with the batch. The conv blocks bound batches larger
-# than the eval chunks: the 64-sample probe that freezes BatchNorm
-# statistics, and a distill.batch_size above 32.
+# Samples per block: evaluation runs its dataset in chunks of this size, and
+# the conv kernels copy NHWC window rows (and the input gradient's scatter its
+# column gradients) for at most this many samples at a time, and for fewer
+# where that many samples' rows would exceed _WINDOW_BYTES, so their working
+# memory grows neither with the batch nor with the feature map.
 BLOCK = 32
+_WINDOW_BYTES = 4 << 20
+
+
+def _block_samples(sample_bytes: int) -> int:
+    """Samples per conv block: at least 1, at most BLOCK, within _WINDOW_BYTES where one sample fits."""
+    return max(1, min(BLOCK, _WINDOW_BYTES // sample_bytes))
 
 
 @dataclass
@@ -276,22 +281,26 @@ def _window_gemm(x_nhwc: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride:
                  oh: int, ow: int) -> np.ndarray:
     """Correlate the kh x kw windows of an NHWC batch with wmat, giving (n, oh, ow, O).
 
-    Each block of BLOCK samples is written into the interior of one zeroed
-    buffer padded by pad = (rows, columns), and its window view is copied to
-    (nb, oh*ow, kh*kw*C) rows. np.matmul then runs one GEMM per sample, the
-    same call whatever the batch size, so the output does not depend on how
-    a batch is split into blocks (one GEMM over a block's rows would not be).
+    Each block of _block_samples samples is written into the interior of one
+    zeroed buffer padded by pad = (rows, columns), and its window view is
+    copied into one (nb, oh*ow, kh*kw*C) workspace of rows. np.matmul then
+    runs one GEMM per sample, the same call whatever the batch size, so the
+    output does not depend on how a batch is split into blocks (one GEMM over
+    a block's rows would not be).
     """
     n, h, w, c = x_nhwc.shape
     ph, pw = pad
     out = np.empty((n, oh * ow, wmat.shape[1]), dtype=np.result_type(x_nhwc, wmat))
-    buf = np.zeros((min(n, BLOCK), h + 2 * ph, w + 2 * pw, c), dtype=x_nhwc.dtype)
+    step = min(n, _block_samples(oh * ow * kh * kw * c * x_nhwc.itemsize))
+    buf = np.zeros((step, h + 2 * ph, w + 2 * pw, c), dtype=x_nhwc.dtype)
+    rows = np.empty((step, oh * ow, kh * kw * c), dtype=x_nhwc.dtype)
     sb, sh, sw, sc = buf.strides
-    for lo in range(0, n, BLOCK):
-        nb = min(BLOCK, n - lo)
+    for lo in range(0, n, step):
+        nb = min(step, n - lo)
         buf[:nb, ph:ph + h, pw:pw + w] = x_nhwc[lo:lo + nb]
         win = as_strided(buf, (nb, oh, ow, kh, kw, c), (sb, sh * stride, sw * stride, sh, sw, sc))
-        np.matmul(win.reshape(nb, oh * ow, kh * kw * c), wmat, out=out[lo:lo + nb])
+        rows[:nb].reshape(win.shape)[...] = win
+        np.matmul(rows[:nb], wmat, out=out[lo:lo + nb])
     return out.reshape(n, oh, ow, -1)
 
 
@@ -321,8 +330,10 @@ def _linear_forward(layer: Linear, x: np.ndarray) -> np.ndarray:
 
 def _bn_forward(layer: BatchNorm, x: np.ndarray) -> np.ndarray:
     scale = layer.gamma / np.sqrt(layer.running_var + np.float32(layer.eps))
-    return (x - layer.running_mean[None, :, None, None]) * scale[None, :, None, None] \
-        + layer.beta[None, :, None, None]
+    y = x - layer.running_mean[None, :, None, None]
+    y *= scale[None, :, None, None]
+    y += layer.beta[None, :, None, None]
+    return y
 
 
 def _avgpool_forward(layer: AvgPool, x: np.ndarray) -> np.ndarray:
@@ -335,11 +346,11 @@ def _avgpool_forward(layer: AvgPool, x: np.ndarray) -> np.ndarray:
     return win.mean(axis=(4, 5), dtype=np.float32)
 
 
-def _dead_after(model: ModelGraph) -> dict:
-    """{i: indices of the activations whose last reader is layer i}."""
-    last = {j: j for j in range(len(model.layers))}
+def _dead_after(model: ModelGraph, keep) -> dict:
+    """{i: indices of the activations whose last reader is layer i}, those in `keep` left out."""
+    last = {j: j for j in range(len(model.layers)) if j not in keep}
     for i, layer in enumerate(model.layers):
-        if isinstance(layer, ResidualAdd):
+        if isinstance(layer, ResidualAdd) and layer.source + 1 in last:
             last[layer.source + 1] = max(last[layer.source + 1], i)
     dead = {}
     for j, i in last.items():
@@ -349,7 +360,7 @@ def _dead_after(model: ModelGraph) -> dict:
 
 # an overflow is reported by the finiteness check after its layer, not as a warning
 @np.errstate(over="ignore", invalid="ignore")
-def run_layers(model: ModelGraph, batch: np.ndarray, hook=None, prefix=(), keep: bool = True) -> list:
+def run_layers(model: ModelGraph, batch: np.ndarray, hook=None, prefix=(), keep=True) -> list:
     """Apply the layers in order and return the activation list.
 
     acts[0] is the input batch and acts[i + 1] the output of layer i. Before
@@ -361,10 +372,11 @@ def run_layers(model: ModelGraph, batch: np.ndarray, hook=None, prefix=(), keep:
     acts[1..s], which must not depend on anything the hook changes for
     layers s and later, and the run starts at layer s. With keep=False an
     activation is replaced by None as soon as no later layer reads it, so
-    only the live tensors stay in memory and acts[-1] (the logits) is kept.
+    only the live tensors stay in memory and acts[-1] (the logits) is kept;
+    `keep` may instead be a set of activation indices that are kept as well.
     """
     acts = [batch, *prefix]
-    dead_after = None if keep else _dead_after(model)
+    dead_after = None if keep is True else _dead_after(model, keep or ())
     for i in range(len(prefix), len(model.layers)):
         layer, x = model.layers[i], acts[i]
         if hook is not None:
@@ -403,11 +415,25 @@ def _check_batch(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
     return b
 
 
-def _channel_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # population mean and std, accumulated in float64, and the float64 centered input
+def _channel_stats(x: np.ndarray, target: tuple | None = None) -> tuple:
+    """Per-channel population mean and std of x, accumulated in float64, and a gradient term.
+
+    Given a target (mean, std), the term is the float32 gradient with respect
+    to x of their squared L2 distance to it, else None. Both paths give the
+    same statistics, bit for bit.
+    """
     m = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    centered = x.astype(np.float64) - m[None, :, None, None]
-    return m, np.sqrt(np.square(centered).mean(axis=(0, 2, 3))), centered
+    centered = x.astype(np.float64)
+    centered -= m[None, :, None, None]
+    std = np.sqrt(np.square(centered, out=centered if target is None else None).mean(axis=(0, 2, 3)))
+    if target is None:
+        return m, std, None
+    # dm + ds * centered, computed in place
+    u, sig = target
+    nhw = x.shape[0] * x.shape[2] * x.shape[3]
+    centered *= (2.0 * (std - sig) / (nhw * np.maximum(std, 1e-12)))[None, :, None, None]
+    centered += (2.0 * (m - u) / nhw)[None, :, None, None]
+    return m, std, centered.astype(np.float32)
 
 
 def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
@@ -436,15 +462,15 @@ def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
 # input gradient
 
 
-def _conv_backward_input(layer: Conv2d, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Input gradient of a conv, NCHW shape over NHWC memory (see _conv_forward).
+def _conv_backward_input(layer: Conv2d, shape: tuple, grad_out: np.ndarray) -> np.ndarray:
+    """Input gradient of a conv whose input has NCHW `shape`, over NHWC memory (see _conv_forward).
 
     At stride 1 with padding below the kernel it is the conv of grad_out with
     the flipped, transposed kernel and padding k - 1 - p on each axis. Other
     geometries scatter each sample's window-row gradients back, one strided
     add per kernel tap.
     """
-    n, c, h, w = x.shape
+    n, c, h, w = shape
     kh, kw, s, p = layer.kernel_h, layer.kernel_w, layer.stride, layer.padding
     g = grad_out.transpose(0, 2, 3, 1)
     if s == 1 and p < min(kh, kw):
@@ -454,11 +480,12 @@ def _conv_backward_input(layer: Conv2d, x: np.ndarray, grad_out: np.ndarray) -> 
     rows = g.reshape(n, oh * ow, o)
     wmat_t = _kernel_rows(layer.weight).T
     gpad = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=np.float32)
-    for lo in range(0, n, BLOCK):
-        cols = np.matmul(rows[lo:lo + BLOCK], wmat_t).reshape(-1, oh, ow, kh, kw, c)
+    step = _block_samples(oh * ow * kh * kw * c * g.itemsize)
+    for lo in range(0, n, step):
+        cols = np.matmul(rows[lo:lo + step], wmat_t).reshape(-1, oh, ow, kh, kw, c)
         for i in range(kh):
             for j in range(kw):
-                gpad[lo:lo + BLOCK, i:i + oh * s:s, j:j + ow * s:s] += cols[:, :, :, i, j]
+                gpad[lo:lo + step, i:i + oh * s:s, j:j + ow * s:s] += cols[:, :, :, i, j]
     return gpad[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
 
 
@@ -473,12 +500,12 @@ def _avgpool_backward(layer: AvgPool, x: np.ndarray, grad_out: np.ndarray) -> np
     return gx
 
 
-def _backward_input(layer, x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+def _backward_input(layer, x, grad_out: np.ndarray) -> np.ndarray:
+    """The input gradient of one layer; x is the layer's input, or its shape for a conv or linear layer."""
     if isinstance(layer, Conv2d):
         return _conv_backward_input(layer, x, grad_out)
     if isinstance(layer, Linear):
-        g = grad_out @ layer.weight
-        return g.reshape(x.shape)
+        return (grad_out @ layer.weight).reshape(x)
     if isinstance(layer, BatchNorm):
         scale = layer.gamma / np.sqrt(layer.running_var + np.float32(layer.eps))
         return grad_out * scale[None, :, None, None]
@@ -499,27 +526,29 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
     statistics are those a recorded forward pass gives, bit for bit. The
     model must be validated and `targets` non-empty; the batch is checked
     here. Only the layers before the last target BatchNorm run, forward and
-    backward, including residual branches. With backward=False only the
+    backward, including residual branches. The forward keeps only what the
+    backward reads: each target's gradient term, each ReLU and AvgPool input,
+    and the input shape of every other layer. With backward=False only the
     forward part runs and the gradient is None.
     """
     batch = _check_batch(model, batch)
     last = max(targets)
-    acts = run_layers(ModelGraph(model.layers[:last], model.input_shape, model.class_count), batch)
     # grads[i] is the loss gradient at acts[i], None until a term reaches it;
     # a first term is stored as is, which equals 0 + term except that a -0.0
     # entry keeps its sign
-    grads = [None] * len(acts)
+    grads, saved = [None] * (last + 1), [None] * (last + 1)
     means, stds = {}, {}
-    for i, (u, sig) in targets.items():
-        means[i], stds[i], centered = _channel_stats(acts[i])
+
+    def hook(i, layer, x):
+        if i in targets:
+            means[i], stds[i], grads[i] = _channel_stats(x, targets[i] if backward else None)
         if backward:
-            # the direct statistic term dm + ds * centered, computed in place
-            nhw = centered.shape[0] * centered.shape[2] * centered.shape[3]
-            dm = 2.0 * (means[i] - u) / nhw
-            ds = 2.0 * (stds[i] - sig) / (nhw * np.maximum(stds[i], 1e-12))
-            centered *= ds[None, :, None, None]
-            centered += dm[None, :, None, None]
-            grads[i] = centered.astype(np.float32)
+            saved[i] = x if isinstance(layer, (ReLU, AvgPool)) else x.shape
+        return layer, x
+
+    # the last target's layer is past the truncated model, so its input gets the hook here
+    head = ModelGraph(model.layers[:last], model.input_shape, model.class_count)
+    hook(last, model.layers[last], run_layers(head, batch, hook, keep=False)[-1])
     trace = ForwardTrace(means, stds, {})
     if not backward:
         return trace, None
@@ -534,10 +563,10 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
             add(i, g)
             add(layer.source + 1, g)
         else:
-            add(i, _backward_input(layer, acts[i], g))
-        # lower layers read neither: they add only into grads[j] and
-        # grads[source + 1], and both indices are at most i
-        acts[i + 1] = grads[i + 1] = None
+            add(i, _backward_input(layer, saved[i], g))
+        # only layer i reads saved[i], and lower layers add only into
+        # grads[j] and grads[source + 1], both indices at most i
+        saved[i] = grads[i + 1] = None
     if not np.isfinite(grads[0]).all():
         raise NumericFailureError("non-finite input gradient", layer_index=None)
     return trace, grads[0]

@@ -225,7 +225,7 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
     return QuantizedModel(model, wparams, aparams, codes)
 
 
-def _quantized_run(qmodel: QuantizedModel, batch: np.ndarray, prefix, keep: bool) -> list:
+def _quantized_run(qmodel: QuantizedModel, batch: np.ndarray, prefix=(), keep=False) -> list:
     """run_layers over qmodel.base, each quantized slot's layer and input swapped for this step only."""
     model = qmodel.base
     m.validate_model(model)
@@ -242,11 +242,6 @@ def _quantized_run(qmodel: QuantizedModel, batch: np.ndarray, prefix, keep: bool
     return m.run_layers(model, batch, hook, prefix, keep)
 
 
-def quantized_activations(qmodel: QuantizedModel, batch: np.ndarray) -> list:
-    """Every activation of quantized_forward, in run_layers order (acts[-1] is the logits)."""
-    return _quantized_run(qmodel, batch, (), True)
-
-
 def quantized_forward(qmodel: QuantizedModel, batch: np.ndarray, prefix=()) -> np.ndarray:
     """Fake-quantized inference on the float32 carrier.
 
@@ -255,10 +250,10 @@ def quantized_forward(qmodel: QuantizedModel, batch: np.ndarray, prefix=()) -> n
     BatchNorm, pooling, residual adds) runs in plain float32. Passthrough
     slots reuse the original tensors, so an all-32 config is bitwise the
     plain forward pass. `prefix` (see model.run_layers) resumes from the
-    activations quantized_activations returned for a model that differs from
-    this one only at or after layer len(prefix).
+    activations _quantized_run kept for a model that differs from this one
+    only at or after layer len(prefix).
     """
-    return _quantized_run(qmodel, batch, prefix, False)[-1]
+    return _quantized_run(qmodel, batch, prefix)[-1]
 
 
 # ---------------------------------------------------------------------------

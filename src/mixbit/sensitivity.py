@@ -130,11 +130,10 @@ def mqe_sensitivity(
     slots = m.weighted_layers(model)
     cfg = quant.BitConfig.uniform(len(slots), base_bits)
     qm = quant.quantize_model(model, cfg, batch)
-    base_acts = quant.quantized_activations(qm, batch)
-    base_probs = softmax(base_acts[-1])
-    # the sweeps read only each weighted layer's input and each residual source
+    # the base pass keeps what the sweeps read: each weighted layer's input and each residual source
     read = set(slots) | {lyr.source + 1 for lyr in model.layers if isinstance(lyr, m.ResidualAdd)}
-    base_acts = [a if j in read else None for j, a in enumerate(base_acts)]
+    base_acts = quant._quantized_run(qm, batch, keep=read)
+    base_probs = softmax(base_acts[-1])
     omega = np.zeros(len(slots), dtype=np.float64)
     for pos, layer_idx in enumerate(slots):
         masked = mask_weights(qm.weight_codes[pos], MaskSpec(alpha, seed, layer_idx))

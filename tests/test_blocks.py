@@ -1,9 +1,10 @@
-"""Fixed sample blocks: exact whatever the split, and bounded in memory.
+"""Sample blocks: exact whatever the split, and bounded in memory.
 
-The conv kernels work m.BLOCK samples at a time and eval runs its dataset in
-chunks of that size. Both must give the bytes an unsplit computation gives,
-whatever the BLAS thread count, and eval's working memory must not grow with
-the number of eval samples.
+The conv kernels work at most m.BLOCK samples at a time, fewer where their
+window rows would exceed m._WINDOW_BYTES, and eval runs its dataset in chunks
+of m.BLOCK. All must give the bytes an unsplit computation gives, whatever
+the BLAS thread count, and eval's working memory must not grow with the
+number of eval samples.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import mixbit
-from mixbit import cli, quant, zoo
+from mixbit import cli, quant, sensitivity, zoo
 from mixbit import model as m
 
 
@@ -104,7 +105,7 @@ def _check_conv_against_reference(layer, x, rng):
     y = m._conv_forward(layer, x)
     assert _same_bits(y, _reference_forward(layer, x))
     grad_out = rng.standard_normal(y.shape, dtype=np.float32)
-    assert _same_bits(m._conv_backward_input(layer, x, grad_out), _reference_backward(layer, x, grad_out))
+    assert _same_bits(m._conv_backward_input(layer, x.shape, grad_out), _reference_backward(layer, x, grad_out))
 
 
 @pytest.mark.parametrize("padding", [0, 1])
@@ -134,6 +135,43 @@ def test_conv_geometries_match_per_sample_reference(n, kh, kw, stride, padding):
     _check_conv_against_reference(layer, rng.standard_normal((n, 3, 7, 8), dtype=np.float32), rng)
 
 
+def _budget_for(samples, layer, x):
+    """A window byte budget that holds `samples` samples of the conv's forward rows (1 byte: one sample)."""
+    _, _, oh, ow = m._conv_forward(layer, x[:1]).shape
+    return samples * oh * ow * layer.kernel_h * layer.kernel_w * layer.in_channels * 4 if samples > 1 else 1
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+def test_conv_sub_blocks_match_per_sample_reference(n, stride, padding, samples, monkeypatch):
+    rng = np.random.default_rng(100 * n + 10 * stride + padding)
+    layer = zoo._conv(rng, 3, 5, 3, stride=stride, padding=padding)
+    x = rng.standard_normal((n, 3, 9, 9), dtype=np.float32)
+    monkeypatch.setattr(m, "_WINDOW_BYTES", _budget_for(samples, layer, x))
+    _check_conv_against_reference(layer, x, rng)
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("kh,kw,stride,padding", _GEOMETRIES)
+@pytest.mark.parametrize("n", [1, 33])
+def test_conv_geometries_in_sub_blocks_match_per_sample_reference(n, kh, kw, stride, padding, samples,
+                                                                  monkeypatch):
+    rng = np.random.default_rng([n, kh, kw, stride, padding])
+    layer = _conv_layer(rng, kh, kw, stride, padding)
+    x = rng.standard_normal((n, 3, 7, 8), dtype=np.float32)
+    monkeypatch.setattr(m, "_WINDOW_BYTES", _budget_for(samples, layer, x))
+    _check_conv_against_reference(layer, x, rng)
+
+
+def test_block_samples_stay_within_the_byte_budget():
+    assert m._block_samples(1) == m.BLOCK
+    assert m._block_samples(m._WINDOW_BYTES // 3) == 3
+    assert m._block_samples(m._WINDOW_BYTES // 3 + 1) == 2
+    assert m._block_samples(m._WINDOW_BYTES + 1) == 1
+
+
 @pytest.mark.parametrize("kh,kw,stride,padding", [(3, 3, 1, 0), (3, 3, 1, 1), (3, 3, 1, 2), *_GEOMETRIES])
 def test_conv_input_gradient_equals_the_scatter(kh, kw, stride, padding):
     # small integers keep every sum exact whatever its order, so the flipped-kernel
@@ -151,7 +189,7 @@ def test_conv_input_gradient_equals_the_scatter(kh, kw, stride, padding):
             gpad[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
                 np.einsum("nohw,oc->nchw", grad_out, layer.weight[:, :, i, j])
     want = gpad[:, :, padding:padding + 7, padding:padding + 8]
-    assert np.array_equal(m._conv_backward_input(layer, x, grad_out), want)
+    assert np.array_equal(m._conv_backward_input(layer, x.shape, grad_out), want)
 
 
 def test_pool_backward_writes_positive_zero():
@@ -212,6 +250,44 @@ def test_distill_step_frees_activations_and_gradients_below_their_layer():
         tracemalloc.stop()
     # 25.6 MB when every activation and gradient lives until the pass returns
     assert peak < 22e6, peak
+
+
+def _traced_peak(fn):
+    fn()  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distill_step_keeps_only_what_its_backward_reads():
+    net = res32_net(0)
+    x = np.random.default_rng(1).standard_normal((32, *net.input_shape), dtype=np.float32)
+    targets = m.bn_targets(net)
+    # 20.07 MB when the forward keeps every activation and each statistic's float64 centered copy
+    peak = _traced_peak(lambda: m._stat_loss_and_gradient(net, x, targets))
+    assert peak < 13e6, peak
+
+
+def test_mqe_base_pass_keeps_only_what_its_sweeps_read():
+    net = res32_net(0)
+    x = np.random.default_rng(1).standard_normal((32, *net.input_shape), dtype=np.float32)
+    # 16.00 MB when the base pass keeps every activation and filters them afterwards
+    peak = _traced_peak(lambda: sensitivity.mqe_sensitivity(net, x))
+    assert peak < 13e6, peak
+
+
+@pytest.mark.parametrize("name", ["toy_cnn", "res32_net"])
+def test_channel_stats_paths_give_the_same_statistics(name):
+    net = {"toy_cnn": zoo.toy_cnn, "res32_net": res32_net}[name](0)
+    acts = m.run_layers(net, np.random.default_rng(3).standard_normal((33, *net.input_shape), dtype=np.float32))
+    for i, target in m.bn_targets(net).items():
+        mean, std, none = m._channel_stats(acts[i])
+        target_mean, target_std, term = m._channel_stats(acts[i], target)
+        assert none is None and term.dtype == np.float32 and term.shape == acts[i].shape
+        assert _same_bits(mean, target_mean) and _same_bits(std, target_std)
 
 
 def test_recorded_forward_peaks_no_higher_than_a_plain_one():

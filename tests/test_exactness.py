@@ -122,7 +122,8 @@ def _zero_initialized_gradient(net, x):
             grads[i] += grads[i + 1]
             grads[layer.source + 1] += grads[i + 1]
         else:
-            grads[i] += m._backward_input(layer, acts[i], grads[i + 1])
+            x = acts[i].shape if isinstance(layer, m.WEIGHTED) else acts[i]
+            grads[i] += m._backward_input(layer, x, grads[i + 1])
     return grads[0]
 
 
@@ -212,6 +213,18 @@ def test_run_layers_frees_activations_after_their_last_reader():
     lean = m.run_layers(net, x, keep=False)
     assert _same_bits(lean[-1], full[-1])
     assert all(a is None for a in lean[:-1])
+
+
+def test_run_layers_keeps_the_activations_it_is_asked_to():
+    net = zoo.toy_cnn(0)
+    source = next(lyr.source for lyr in net.layers if isinstance(lyr, m.ResidualAdd))
+    x = _batch(net, 3, 12)
+    full = m.run_layers(net, x)
+    keep = {0, 2, source + 1}  # a residual source among them, which its add still reads
+    lean = m.run_layers(net, x, keep=keep)
+    for j, a in enumerate(lean[:-1]):
+        assert a is None if j not in keep else _same_bits(a, full[j])
+    assert _same_bits(lean[-1], full[-1])
 
 
 @pytest.mark.parametrize("start", [1, 4, 7, 9, 14])
