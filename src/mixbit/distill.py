@@ -20,8 +20,8 @@ from .errors import DivergenceError, RangeError, UnsupportedLayerError
 @dataclass(frozen=True)
 class DistillConfig:
     batch_size: int = 32
-    steps: int = 500
-    learning_rate: float = 0.1
+    steps: int = 50
+    learning_rate: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -58,7 +58,7 @@ def bn_stat_loss(trace: m.ForwardTrace, model: m.ModelGraph, targets: dict | Non
 
 
 # Consecutive steps the loss may sit above 10x the initial value before the
-# descent is declared divergent.
+# descent is declared divergent; the batch it returns must also lie below that.
 _DIVERGENCE_PATIENCE = 50
 _DIVERGENCE_FACTOR = 10.0
 
@@ -73,6 +73,10 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
     operation is pure float arithmetic. loss_history holds one entry per
     step, evaluated after that step's update, so steps=1 yields exactly one
     entry and the last entry is the loss of the returned batch.
+
+    Raises DivergenceError when the loss sits above _DIVERGENCE_FACTOR times
+    its initial value for _DIVERGENCE_PATIENCE steps in a row, or when the
+    batch it would return does; spikes that recover pass.
     """
     m.validate_model(model)
     targets = m.bn_targets(model)
@@ -105,4 +109,9 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
                 )
         else:
             bad_streak = 0
+    if history[-1] > threshold:  # a streak cannot reach the patience in fewer steps than it
+        raise DivergenceError(
+            f"final loss {history[-1]:.3g} is above {_DIVERGENCE_FACTOR}x its initial value "
+            f"({initial:.3g}); retry with a smaller learning rate"
+        )
     return SyntheticBatch(data=x, final_loss=history[-1], loss_history=history, seed=config.seed)

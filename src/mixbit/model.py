@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigError,
@@ -277,6 +276,17 @@ def _kernel_rows(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(2, 3, 1, 0).reshape(-1, weight.shape[0])
 
 
+def _strided_view(x: np.ndarray, shape: tuple, strides: tuple) -> np.ndarray:
+    """as_strided(x, shape, strides) for an x whose memory is one dense block, as every buffer and activation is.
+
+    NumPy's as_strided reads x.__array_interface__, which interns key strings and drops them again on
+    every call. That churn makes the interpreter reallocate its interned-string table now and then, and
+    the pass in which it happens is charged with a table that outlives it. This view reads no interface.
+    """
+    dense = x.transpose(np.argsort(x.strides)[::-1])  # x's memory, C-contiguous
+    return np.ndarray(shape, x.dtype, dense, 0, strides)
+
+
 def _window_gemm(x_nhwc: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int, pad: tuple,
                  oh: int, ow: int) -> np.ndarray:
     """Correlate the kh x kw windows of an NHWC batch with wmat, giving (n, oh, ow, O).
@@ -298,7 +308,7 @@ def _window_gemm(x_nhwc: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride:
     for lo in range(0, n, step):
         nb = min(step, n - lo)
         buf[:nb, ph:ph + h, pw:pw + w] = x_nhwc[lo:lo + nb]
-        win = as_strided(buf, (nb, oh, ow, kh, kw, c), (sb, sh * stride, sw * stride, sh, sw, sc))
+        win = _strided_view(buf, (nb, oh, ow, kh, kw, c), (sb, sh * stride, sw * stride, sh, sw, sc))
         rows[:nb].reshape(win.shape)[...] = win
         np.matmul(rows[:nb], wmat, out=out[lo:lo + nb])
     return out.reshape(n, oh, ow, -1)
@@ -342,7 +352,7 @@ def _avgpool_forward(layer: AvgPool, x: np.ndarray) -> np.ndarray:
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
     sn, sc, sh, sw = x.strides
-    win = as_strided(x, (n, c, oh, ow, k, k), (sn, sc, sh * s, sw * s, sh, sw))
+    win = _strided_view(x, (n, c, oh, ow, k, k), (sn, sc, sh * s, sw * s, sh, sw))
     return win.mean(axis=(4, 5), dtype=np.float32)
 
 

@@ -346,6 +346,79 @@ def test_eval_draws_its_set_once(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# eval: the planned variant resumes from a uniform one
+
+
+def _quantized_dir(tmp_path, name, seed, activation_bits="plan", ratio=0.5, beta=0.5):
+    """Run distill to quantize on a light config; the eval stage's config."""
+    doc = {"distill": {"steps": 2, "batch_size": 8}, "eval": {"samples": 70}}  # chunks of 32, 32 and 6
+    if name == "res32_net":
+        doc["model"] = str(m.save_model(res32_net(seed), tmp_path / "res32.json"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    args = ["--config", str(config), "--out", str(tmp_path / "out"), "--seed", str(seed),
+            "--bits-activations", activation_bits, "--ratio", str(ratio), "--beta", str(beta)]
+    for stage in ("distill", "sense", "profile", "plan", "quantize"):
+        assert cli.main([stage, *args]) == cli.EXIT_OK, stage
+    return cli.load_config(str(config), cli.build_parser().parse_args(["eval", *args]))
+
+
+def _eval_from_the_input(cfg):
+    """{variant: (accuracy, agreement)}, every variant run from the input over the whole eval set at once."""
+    net, _ = cli.ensure_model(cfg)
+    count = len(m.weighted_layers(net))
+    batch = cli._load_distilled(cfg, net)
+    models = [quant.quantize_model(net, quant.BitConfig.uniform(count, b), batch) for b in (32, 8, 4)]
+    models.append(cli._load_quantized(cfg, net, cli._load_plan(cfg, net)[2]))
+    xs, ys = zoo.make_eval_dataset(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed)
+    preds = [quant.quantized_forward(qm, xs).argmax(axis=1) for qm in models]
+    return {name: (float(np.mean(p == ys)), float(np.mean(p == preds[0])))
+            for name, p in zip(("fp32", "int8", "int4", "planned"), preds)}
+
+
+def _eval_with_planned_starts(cfg):
+    """stage_eval's {variant: (accuracy, agreement)} and the set of layers its planned passes start at."""
+    with mock.patch.object(quant, "quantized_forward", wraps=quant.quantized_forward) as planned_passes:
+        doc = cli.stage_eval(cfg)
+    starts = {len(call.kwargs.get("prefix", ())) for call in planned_passes.call_args_list}
+    return {name: (r["accuracy"], r["agreement"]) for name, r in doc["variants"].items()}, starts
+
+
+# With every grid frozen from one batch, a planned layer runs alike the uniform variant at its widths:
+# under --bits-activations 8, only int8, and only where the plan gives 8 bits.
+@pytest.mark.parametrize("name, seed, flags, plan, shared", [
+    ("toy_cnn", 0, ("plan", 0.5, 0.5), [4, 4, 8, 4, 8], 2),      # int4's first two layers
+    ("toy_cnn", 1, ("8", 0.5, 0.5), [8, 4, 8, 4, 8], 1),         # int8's first layer
+    ("toy_cnn", 0, ("plan", 0.0, 0.5), [4, 4, 4, 4, 4], 5),      # int4 throughout
+    ("res32_net", 2, ("plan", 0.5, 0.5), [4, 4, 4, 4, 8], 4),    # int4 up to the last linear
+    ("res32_net", 1, ("8", 0.9, 1.0), [8, 8, 8, 4, 8], 3),       # int8 up to the first linear
+])
+def test_planned_variant_resumes_where_it_leaves_a_uniform_one(tmp_path, name, seed, flags, plan, shared):
+    cfg = _quantized_dir(tmp_path, name, seed, *flags)
+    net, _ = cli.ensure_model(cfg)
+    assert cli._load_plan(cfg, net)[1].weight_bits == plan
+    slots = m.weighted_layers(net)
+    results, starts = _eval_with_planned_starts(cfg)
+    assert starts == {slots[shared] if shared < len(slots) else len(net.layers)}
+    assert results == _eval_from_the_input(cfg)
+
+
+def test_planned_grids_unlike_the_uniform_ones_run_from_the_input(tmp_path):
+    cfg = _quantized_dir(tmp_path, "toy_cnn", 0)
+    out = Path(cfg.output_dir)
+    kept = {f: (out / f).read_bytes() for f in (cli.ART_DISTILLED, "distilled.bin")}
+    # quantized.json from another distilled batch: the weight grids agree, the activation grids do not
+    other = dataclasses.replace(cfg, distill=dataclasses.replace(cfg.distill, seed=cfg.distill.seed + 1))
+    cli.stage_distill(other)
+    cli.stage_quantize(other)
+    for f, data in kept.items():
+        (out / f).write_bytes(data)
+    results, starts = _eval_with_planned_starts(cfg)
+    assert starts == {0}
+    assert results == _eval_from_the_input(cfg)
+
+
+# ---------------------------------------------------------------------------
 # BLAS threads
 
 

@@ -890,6 +890,14 @@ class TestExitCodes:
         assert rc == cli.EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_pipeline_whose_distill_ends_diverged_exits_4(self, tmp_path, capsys):
+        # 49 of the 50 steps sit above the threshold, so no streak reaches the patience of 50
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"distill": {"steps": 50, "learning_rate": 120}}))
+        assert cli.main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
+        assert "numeric failure: final loss" in capsys.readouterr().err
+        assert not (tmp_path / "o" / cli.ART_DISTILLED).exists()
+
     def test_overflowing_distill_step_exits_4(self, tmp_path, capsys):
         # the step's overflow reaches the next pass's batch check, with no warning printed
         path = tmp_path / "config.json"
@@ -992,5 +1000,5 @@ class TestLoadConfig:
         assert cfg.planner.ratio == 0.5
         assert cfg.planner.activation_bits == "plan"
         assert cfg.sensitivity.method == "mqe"
-        assert cfg.distill.steps == 500
+        assert (cfg.distill.steps, cfg.distill.learning_rate) == (50, 1.0)
         assert cfg.eval.samples == 256

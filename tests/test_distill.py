@@ -120,6 +120,22 @@ class TestSynthesize:
         with pytest.raises(DivergenceError):
             distill.synthesize(net, cfg)
 
+    def test_diverges_when_the_returned_batch_is_above_the_threshold(self):
+        # 49 of the 50 steps sit above the threshold, a streak one short of the patience
+        cfg = distill.DistillConfig(batch_size=4, steps=50, learning_rate=50.0)
+        with pytest.raises(DivergenceError, match="final loss"):
+            distill.synthesize(zoo.tiny_cnn(0), cfg)
+
+    @pytest.mark.parametrize("learning_rate", [70.0, 100.0])
+    def test_spikes_that_recover_pass(self, learning_rate):
+        net = zoo.toy_cnn(0)
+        cfg = distill.DistillConfig(steps=50, learning_rate=learning_rate)
+        out = distill.synthesize(net, cfg)
+        x0 = np.random.default_rng(cfg.seed).standard_normal((cfg.batch_size, *net.input_shape), dtype=np.float32)
+        _, trace = m.forward(net, x0, record=True)
+        threshold = distill._DIVERGENCE_FACTOR * distill.bn_stat_loss(trace, net)
+        assert max(out.loss_history) > threshold >= out.final_loss
+
     def test_requires_batch_norm(self):
         with pytest.raises(UnsupportedLayerError):
             distill.synthesize(zoo.decorrelation_net(), distill.DistillConfig(steps=1))

@@ -151,10 +151,15 @@ def test_divergence_fires_at_the_reference_step():
         history.append(bn_stat_loss(trace, net, targets))
         streak = streak + 1 if history[-1] > threshold else 0
     fired = len(history)
-    with pytest.raises(DivergenceError):
-        synthesize(net, DistillConfig(config.batch_size, fired, config.learning_rate, config.seed))
-    last_ok = synthesize(net, DistillConfig(config.batch_size, fired - 1, config.learning_rate, config.seed))
-    assert last_ok.loss_history == history[:-1]
+    # the streak rule fires at `fired`; one step short, the batch it would return is above the threshold
+    for steps, rule in ((fired, "consecutive steps"), (fired - 1, "final loss")):
+        with pytest.raises(DivergenceError, match=rule):
+            synthesize(net, DistillConfig(config.batch_size, steps, config.learning_rate, config.seed))
+    # the last batch below the threshold, just before the streak began, is returned
+    ok = fired - _DIVERGENCE_PATIENCE
+    assert ok >= 1 and history[ok - 1] <= threshold
+    last_ok = synthesize(net, DistillConfig(config.batch_size, ok, config.learning_rate, config.seed))
+    assert last_ok.loss_history == history[:ok]
 
 
 # ---------------------------------------------------------------------------
