@@ -427,47 +427,23 @@ def stage_quantize(cfg: PipelineConfig) -> quant.QuantizedModel:
     return qm
 
 
-def _shared_slots(a: quant.QuantizedModel, b: quant.QuantizedModel) -> int:
-    """How many leading weighted slots a and b run alike: equal activation grids and equal dequantized weights.
-
-    Weights are compared, not weight_params: a grid read from quantized.json is a _WeightGrid, which never
-    equals the QuantParams of the same grid.
-    """
-    count = 0
-    for wa, wb, pa, pb in zip(a.weights, b.weights, a.act_params, b.act_params):
-        if pa != pb or not np.array_equal(wa, wb):
-            break
-        count += 1
-    return count
-
-
 def stage_eval(cfg: PipelineConfig) -> dict:
     net, _ = ensure_model(cfg)
     *_, planned_bits = _load_plan(cfg, net)
     planned = _load_quantized(cfg, net, planned_bits)
     batch = _load_distilled(cfg, net)
     profile = _load_profile(cfg)
-    slots = m.weighted_layers(net)
-    variants = {name: quant.BitConfig.uniform(len(slots), bits) for name, bits in _UNIFORM_BITS.items()}
+    count = len(m.weighted_layers(net))
+    variants = {name: quant.BitConfig.uniform(count, bits) for name, bits in _UNIFORM_BITS.items()}
 
     _, calib = m.forward(net, batch, record=True)  # shared by every uniform variant's grids
     models = [quant.quantize_model(net, bit_cfg, batch, calib) for bit_cfg in variants.values()]
-    variants["planned"] = planned_bits  # runs the model quantize wrote
-    # the planned model resumes from the uniform variant whose leading weighted layers run alike the longest:
-    # that partner keeps the input of the first layer where they differ and the residual sources read past it
-    shared = [_shared_slots(planned, qm) for qm in models]
-    partner = int(np.argmax(shared))
-    start = slots[shared[partner]] if shared[partner] < len(slots) else len(net.layers)
-    keep = {start} | {lyr.source + 1 for lyr in net.layers[start:]
-                      if isinstance(lyr, m.ResidualAdd) and lyr.source < start}
+    variants["planned"] = planned_bits  # runs the model quantize wrote, resumed from a uniform variant
     # one draw of the eval set, a chunk at a time, runs every variant; only predictions are kept
     labels, preds = [], []
     for xs, ys in zoo.eval_batches(net, cfg.eval.samples, cfg.eval.noise, cfg.eval.seed):
         labels.append(ys)
-        runs = [quant._quantized_run(qm, xs, keep=keep if k == partner else False) for k, qm in enumerate(models)]
-        logits = [acts[-1] for acts in runs]
-        logits.append(quant.quantized_forward(planned, xs, prefix=runs[partner][1:start + 1]))
-        preds.append([z.argmax(axis=1) for z in logits])
+        preds.append([z.argmax(axis=1) for z in quant.forward_all([*models, planned], xs)])
     labels, preds = np.concatenate(labels), np.concatenate(preds, axis=1)  # preds: one row per variant
 
     results = {}
@@ -506,17 +482,16 @@ def canonical_hash(report: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def _model_digest(path: Path) -> dict:
-    """sha256 of a model manifest and of the weight blob it names."""
-    manifest = path.read_bytes()
-    blob = (path.parent / json.loads(manifest)["blob"]).read_bytes()
-    return {"manifest": hashlib.sha256(manifest).hexdigest(), "blob": hashlib.sha256(blob).hexdigest()}
+def _model_digest(net: m.ModelGraph) -> dict:
+    """sha256 of the manifest and blob save_model writes for net as model.json: the file's name stays out."""
+    manifest, blob = m.model_files(net, ART_MODEL)
+    return {"manifest": hashlib.sha256(manifest.encode()).hexdigest(), "blob": hashlib.sha256(blob).hexdigest()}
 
 
 def assemble_report(cfg: PipelineConfig) -> dict:
     """Build the final report from the stage artifacts on disk."""
     net, model_path = ensure_model(cfg)
-    digest = _model_digest(model_path)
+    digest = _model_digest(net)
     out = _out(cfg)
     if model_path.resolve().is_relative_to(out.resolve()):  # keep the report independent of where out lives
         model_path = model_path.resolve().relative_to(out.resolve())

@@ -6,7 +6,9 @@ scale * (q + zero_point), so the stored zero point is subtracted on the way
 in and added back on the way out. Weights use symmetric per-tensor grids,
 activations asymmetric per-tensor grids calibrated from each input's range in
 one recorded forward pass. Bit-width 32 is a passthrough sentinel: no grid is
-built and the fake-quantized forward is bitwise the float forward.
+built and the fake-quantized forward is bitwise the float forward. forward_all
+runs several quantized models of one network over one batch, each resumed
+from the earlier pass it shares the longest prefix with.
 """
 
 from __future__ import annotations
@@ -242,18 +244,60 @@ def _quantized_run(qmodel: QuantizedModel, batch: np.ndarray, prefix=(), keep=Fa
     return m.run_layers(model, batch, hook, prefix, keep)
 
 
-def quantized_forward(qmodel: QuantizedModel, batch: np.ndarray, prefix=()) -> np.ndarray:
+def quantized_forward(qmodel: QuantizedModel, batch: np.ndarray) -> np.ndarray:
     """Fake-quantized inference on the float32 carrier.
 
     Each weighted layer consumes its input through its activation grid and
     multiplies by its dequantized integer weights; everything else (bias,
     BatchNorm, pooling, residual adds) runs in plain float32. Passthrough
     slots reuse the original tensors, so an all-32 config is bitwise the
-    plain forward pass. `prefix` (see model.run_layers) resumes from the
-    activations _quantized_run kept for a model that differs from this one
-    only at or after layer len(prefix).
+    plain forward pass.
     """
-    return _quantized_run(qmodel, batch, prefix)[-1]
+    return _quantized_run(qmodel, batch)[-1]
+
+
+def _shared_slots(a: QuantizedModel, b: QuantizedModel) -> int:
+    """How many leading weighted slots a and b run alike: equal activation grids and equal dequantized weights.
+
+    Weights are compared, not weight_params: a grid subclass read from disk
+    never equals the QuantParams of the same grid.
+    """
+    count = 0
+    for wa, wb, pa, pb in zip(a.weights, b.weights, a.act_params, b.act_params):
+        if pa != pb or not np.array_equal(wa, wb):
+            break
+        count += 1
+    return count
+
+
+def forward_all(qmodels: list, batch: np.ndarray) -> list:
+    """[quantized_forward(qm, batch) for qm in qmodels], bit for bit, with each pass resumed from an earlier one.
+
+    The models must share one base network. Each model after the first
+    resumes from the earlier model whose leading weighted slots run alike its
+    own the longest (the first of a tie), at the first layer where the two
+    differ: the layer count for a duplicate, the first weighted layer for a
+    model that shares no slot. That earlier pass keeps only what the
+    resumptions read, the input of that layer and each residual source read
+    at or after it; every other pass keeps nothing.
+    """
+    base = qmodels[0].base
+    if any(qm.base is not base for qm in qmodels):
+        raise ValueError("forward_all needs quantized models of one base network")
+    stops = [*m.weighted_layers(base), len(base.layers)]  # where two models that share n slots differ
+    resume, keep = [], [set() for _ in qmodels]
+    for k, qm in enumerate(qmodels):
+        shared = [_shared_slots(qm, earlier) for earlier in qmodels[:k]]
+        partner = int(np.argmax(shared)) if k else None
+        start = stops[shared[partner]] if k else 0
+        resume.append((partner, start))
+        if start:
+            keep[partner] |= {start} | {lyr.source + 1 for lyr in base.layers[start:]
+                                        if isinstance(lyr, m.ResidualAdd) and lyr.source < start}
+    runs = []
+    for qm, kept, (partner, start) in zip(qmodels, keep, resume):
+        runs.append(_quantized_run(qm, batch, runs[partner][1:start + 1] if start else (), kept))
+    return [acts[-1] for acts in runs]
 
 
 # ---------------------------------------------------------------------------

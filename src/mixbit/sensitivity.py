@@ -108,8 +108,11 @@ class SensitivityReport:
         return build(cls, {**d, "omega": omega})
 
 
-def _mean_kl(base_probs: np.ndarray, probs: np.ndarray) -> float:
-    return float(np.mean([kl_divergence(base_probs[j], probs[j]) for j in range(base_probs.shape[0])]))
+def _scores(logits: list) -> np.ndarray:
+    """Batch-mean KL divergence from the first model's softmax to that of each later model."""
+    base, *others = [softmax(z) for z in logits]
+    return np.array([np.mean([kl_divergence(p, q) for p, q in zip(base, probs)]) for probs in others],
+                    dtype=np.float64)
 
 
 def mqe_sensitivity(
@@ -124,31 +127,15 @@ def mqe_sensitivity(
     The reference output is the uniformly quantized model at base_bits; each
     weighted layer's score is the batch-mean KL divergence from the
     reference softmax to the softmax of the same model with round(alpha * n)
-    of that layer's weight codes zeroed. Each masked sweep resumes from the
-    reference pass's activations at the masked layer's input.
+    of that layer's weight codes zeroed. quant.forward_all resumes each
+    masked sweep from the reference pass at the masked layer's input.
     """
     slots = m.weighted_layers(model)
-    cfg = quant.BitConfig.uniform(len(slots), base_bits)
-    qm = quant.quantize_model(model, cfg, batch)
-    # the base pass keeps what the sweeps read: each weighted layer's input and each residual source
-    read = set(slots) | {lyr.source + 1 for lyr in model.layers if isinstance(lyr, m.ResidualAdd)}
-    base_acts = quant._quantized_run(qm, batch, keep=read)
-    base_probs = softmax(base_acts[-1])
-    omega = np.zeros(len(slots), dtype=np.float64)
-    for pos, layer_idx in enumerate(slots):
-        masked = mask_weights(qm.weight_codes[pos], MaskSpec(alpha, seed, layer_idx))
-        # layers before the masked one see the same tensors as the base pass
-        probs = softmax(quant.quantized_forward(qm.with_weight_codes(pos, masked), batch,
-                                                prefix=base_acts[1:layer_idx + 1]))
-        omega[pos] = _mean_kl(base_probs, probs)
-    return SensitivityReport(
-        omega=omega,
-        batch_size=int(batch.shape[0]),
-        alpha=alpha,
-        seed=seed,
-        method="mqe",
-        bits=base_bits,
-    )
+    qm = quant.quantize_model(model, quant.BitConfig.uniform(len(slots), base_bits), batch)
+    masked = [qm.with_weight_codes(pos, mask_weights(qm.weight_codes[pos], MaskSpec(alpha, seed, idx)))
+              for pos, idx in enumerate(slots)]
+    return SensitivityReport(_scores(quant.forward_all([qm, *masked], batch)), int(batch.shape[0]),
+                             alpha=alpha, seed=seed, method="mqe", bits=base_bits)
 
 
 def naive_sensitivity(model: m.ModelGraph, batch: np.ndarray, bits: int = 4) -> SensitivityReport:
@@ -157,25 +144,15 @@ def naive_sensitivity(model: m.ModelGraph, batch: np.ndarray, bits: int = 4) -> 
     Layer i's score is the batch-mean KL divergence between the float
     model's softmax and that of a model with only layer i's weights
     quantized to `bits` (activations untouched). Runs L whole-model
-    quantizations for L weighted layers; bits=32 degenerates to comparing
-    the float model with itself, scoring every layer 0.
+    quantizations for L weighted layers; quant.forward_all resumes each
+    quantized model from the float pass at its quantized layer's input.
+    bits=32 degenerates to comparing the float model with itself, scoring
+    every layer 0.
     """
-    slots = m.weighted_layers(model)
-    logits, _ = m.forward(model, batch)
-    base_probs = softmax(logits)
-    passthrough = [quant.PASSTHROUGH_BITS] * len(slots)
-    omega = np.zeros(len(slots), dtype=np.float64)
-    for pos in range(len(slots)):
-        wb = list(passthrough)
-        wb[pos] = bits
-        qm = quant.quantize_model(model, quant.BitConfig(wb, list(passthrough)), batch)
-        probs = softmax(quant.quantized_forward(qm, batch))
-        omega[pos] = _mean_kl(base_probs, probs)
-    return SensitivityReport(
-        omega=omega,
-        batch_size=int(batch.shape[0]),
-        alpha=None,
-        seed=None,
-        method="naive",
-        bits=bits,
-    )
+    count = len(m.weighted_layers(model))
+    passthrough = [quant.PASSTHROUGH_BITS] * count
+    float_qm = quant.QuantizedModel(model, [None] * count, [None] * count, [None] * count)
+    singles = [quant.quantize_model(model, quant.BitConfig(passthrough[:pos] + [bits] + passthrough[pos + 1:],
+                                                           passthrough), batch) for pos in range(count)]
+    return SensitivityReport(_scores(quant.forward_all([float_qm, *singles], batch)), int(batch.shape[0]),
+                             alpha=None, seed=None, method="naive", bits=bits)

@@ -26,6 +26,7 @@ ALLOWED = {
     "zoo.tiny_cnn": "acceptance criteria 06-08",
     "zoo.bn_passthrough_net": "acceptance criteria 06-08",
     "zoo.decorrelation_net": "acceptance criterion 10",
+    "quant.quantized_forward": "acceptance criterion 11 and perfbench's quant.quantized_forward span",
 }
 
 

@@ -378,9 +378,11 @@ def _eval_from_the_input(cfg):
 
 def _eval_with_planned_starts(cfg):
     """stage_eval's {variant: (accuracy, agreement)} and the set of layers its planned passes start at."""
-    with mock.patch.object(quant, "quantized_forward", wraps=quant.quantized_forward) as planned_passes:
+    with mock.patch.object(quant, "_quantized_run", wraps=quant._quantized_run) as passes:
         doc = cli.stage_eval(cfg)
-    starts = {len(call.kwargs.get("prefix", ())) for call in planned_passes.call_args_list}
+    # the planned model is the one read from quantized.json, whose weight grids are _WeightGrids
+    starts = {len(call.args[2]) for call in passes.call_args_list
+              if isinstance(call.args[0].weight_params[0], cli._WeightGrid)}
     return {name: (r["accuracy"], r["agreement"]) for name, r in doc["variants"].items()}, starts
 
 

@@ -286,6 +286,18 @@ class TestDeterminism:
             doc["meta"].pop("canonical_sha256")
         assert report_a == report_b
 
+    def test_canonical_hash_does_not_depend_on_the_model_file_name(self, pipeline_run, tmp_path):
+        # the bundled run saves its net as model.json; the manifest names its blob after the file
+        hashes = {pipeline_run[1]["meta"]["canonical_sha256"]}
+        for name in ("net", "net-0"):
+            config = tmp_path / f"{name}.config.json"
+            path = m.save_model(zoo.toy_cnn(0), tmp_path / f"{name}.json")
+            config.write_text(json.dumps({**LIGHT, "model": str(path)}))
+            out = tmp_path / f"{name}-out"
+            assert cli.main(["pipeline", "--config", str(config), "--out", str(out), "--seed", "0"]) == cli.EXIT_OK
+            hashes.add(json.loads((out / cli.ART_REPORT_JSON).read_text())["meta"]["canonical_sha256"])
+        assert len(hashes) == 1
+
     def test_stagewise_run_reproduces_pipeline_report(self, light_config, pipeline_run,
                                                       tmp_path):
         out_c = tmp_path / "run_c"

@@ -6,18 +6,34 @@ bits, not within a tolerance.
 """
 
 import copy
+import functools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixbit import cli, quant, zoo
 from mixbit import model as m
 from mixbit import sensitivity as sens
 from mixbit.distill import DistillConfig, _DIVERGENCE_FACTOR, _DIVERGENCE_PATIENCE, bn_stat_loss, synthesize
 from mixbit.errors import DivergenceError
+from test_blocks import res32_net
 
 NETS = {"tiny_cnn": zoo.tiny_cnn, "toy_cnn": zoo.toy_cnn}
+
+
+def skip_net(seed=0):
+    """A residual add (layer 5) that reads layer 1's output past the weighted layers 2 and 4."""
+    rng = np.random.default_rng(seed)
+    layers = [zoo._conv(rng, 2, 4, 3, padding=1), m.ReLU(), zoo._conv(rng, 4, 4, 3, padding=1), m.ReLU(),
+              zoo._conv(rng, 4, 4, 3, padding=1), m.ResidualAdd(source=1), m.AvgPool(4, 4), zoo._linear(rng, 4, 3)]
+    return m.ModelGraph(layers=layers, input_shape=(2, 4, 4), class_count=3)
+
+
+# the quantized-pass fixtures: the two bundled nets, a residual net at 32x32 and a long-lived residual source
+FIXTURES = {**NETS, "res32_net": res32_net, "skip_net": skip_net}
 
 
 def _batch(net, n, seed):
@@ -347,6 +363,113 @@ def test_mqe_omega_matches_full_sweeps(name, alpha, seed, bits):
     batch = _batch(net, 6, 15)
     report = sens.mqe_sensitivity(net, batch, alpha=alpha, seed=seed, base_bits=bits)
     assert _same_bits(report.omega, _full_sweep_omega(net, batch, alpha, seed, bits))
+
+
+def _from_input_naive_omega(net, batch, bits):
+    """One quantize_model and one from-input quantized_forward per layer, against the float forward."""
+    count = len(m.weighted_layers(net))
+    base = sens.softmax(m.forward(net, batch)[0])
+    omega = np.zeros(count)
+    for pos in range(count):
+        wb = [quant.PASSTHROUGH_BITS] * count
+        wb[pos] = bits
+        qm = quant.quantize_model(net, quant.BitConfig(wb, [quant.PASSTHROUGH_BITS] * count), batch)
+        probs = sens.softmax(quant.quantized_forward(qm, batch))
+        omega[pos] = np.mean([sens.kl_divergence(base[j], probs[j]) for j in range(batch.shape[0])])
+    return omega
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("bits", [4, 8, 32])
+def test_naive_omega_matches_from_input_passes(name, bits):
+    net = FIXTURES[name](0)
+    batch = _batch(net, 5, 17)
+    report = sens.naive_sensitivity(net, batch, bits=bits)
+    assert _same_bits(report.omega, _from_input_naive_omega(net, batch, bits))
+
+
+# ---------------------------------------------------------------------------
+# forward_all
+
+
+@functools.cache
+def _variants(name):
+    """(net, batch, models, each model's quantized_forward) for one fixture.
+
+    The models are uniform 32/8/4, two plan-like mixes of 4 and 8 bits with
+    activations at the plan's widths and at 8, and int8 with one slot masked,
+    for every slot, all over one calibration pass.
+    """
+    net = FIXTURES[name](0)
+    batch = _batch(net, 4, 18)
+    slots = m.weighted_layers(net)
+    _, calib = m.forward(net, batch, record=True)
+
+    def quantized(wb, ab):
+        return quant.quantize_model(net, quant.BitConfig(wb, ab), batch, calib)
+
+    models = [quantized([b] * len(slots), [b] * len(slots)) for b in (32, 8, 4)]
+    rng = np.random.default_rng(len(slots))
+    for _ in range(2):
+        plan = [int(b) for b in rng.choice([4, 8], len(slots))]
+        models += [quantized(plan, plan), quantized(plan, [8] * len(slots))]
+    int8 = models[1]
+    models += [int8.with_weight_codes(pos, sens.mask_weights(int8.weight_codes[pos], sens.MaskSpec(0.5, 0, idx)))
+               for pos, idx in enumerate(slots)]
+    return net, batch, models, [quant.quantized_forward(qm, batch) for qm in models]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_forward_all_is_each_quantized_forward(name, data):
+    # repeats in the draw are duplicates, which resume at the layer count
+    _, batch, models, refs = _variants(name)
+    picks = data.draw(st.lists(st.integers(0, len(models) - 1), min_size=1, max_size=6))
+    got = quant.forward_all([models[k] for k in picks], batch)
+    assert len(got) == len(picks)
+    for z, k in zip(got, picks):
+        assert _same_bits(z, refs[k])
+
+
+# each fixture's int8 pass keeps the input of every layer a masked int8 model resumes at, the layer count
+# for the duplicate, and the residual sources read at or after them: only skip_net's add reads past one
+@pytest.mark.parametrize("name, kept", [
+    ("tiny_cnn", {3, 7, 8}),
+    ("toy_cnn", {3, 8, 12, 14, 15}),
+    ("res32_net", {3, 7, 11, 13, 14}),
+    ("skip_net", {2, 4, 7, 8}),
+])
+def test_forward_all_resumes_where_models_first_differ(name, kept):
+    net, batch, models, refs = _variants(name)
+    slots = m.weighted_layers(net)
+    fp32, int8, int4 = models[:3]
+    masked = models[-len(slots):]
+    order = [fp32, int8, *masked, int8, int4]
+    with mock.patch.object(quant, "_quantized_run", wraps=quant._quantized_run) as passes:
+        got = quant.forward_all(order, batch)
+    # int8 and int4 share no slot with an earlier model, nor does int8 masked at its first slot
+    assert [len(call.args[2]) for call in passes.call_args_list] == [0, 0, 0, *slots[1:], len(net.layers), 0]
+    assert [call.args[3] for call in passes.call_args_list] == [set(), kept, *[set()] * (len(slots) + 2)]
+    for z, want in zip(got, [refs[0], refs[1], *refs[-len(slots):], refs[1], refs[2]]):
+        assert _same_bits(z, want)
+
+
+# skip_net's weighted layers are 0, 2, 4 and 7, and its add at 5 reads layer 1's output, acts[2]
+@pytest.mark.parametrize("pos, start, kept", [(1, 2, {2}), (2, 4, {2, 4}), (3, 7, {7})])
+def test_forward_all_keeps_the_residual_sources_read_at_or_after_the_resumption(pos, start, kept):
+    _, batch, models, refs = _variants("skip_net")
+    with mock.patch.object(quant, "_quantized_run", wraps=quant._quantized_run) as passes:
+        got = quant.forward_all([models[1], models[-4 + pos]], batch)
+    assert [(len(call.args[2]), call.args[3]) for call in passes.call_args_list] == [(0, kept), (start, set())]
+    assert _same_bits(got[1], refs[-4 + pos])
+
+
+def test_forward_all_refuses_models_of_two_networks():
+    net, batch, models, _ = _variants("toy_cnn")
+    other = quant.quantize_model(zoo.toy_cnn(0), quant.BitConfig.uniform(5, 8), batch)
+    with pytest.raises(ValueError):
+        quant.forward_all([models[1], other], batch)
 
 
 # ---------------------------------------------------------------------------
