@@ -11,6 +11,12 @@ fake quantization, the saves of the distill pass), computing in float32 with
 float64 batch statistics. The only backward pass is the input-batch gradient
 the calibration-data synthesizer needs; weights are never updated.
 
+A heavy pass may run its samples as contiguous parts, one thread each (see
+_parts). Every conv runs one GEMM per sample and every other layer is
+elementwise or per sample, so a part's rows are bitwise those of the whole
+batch; only BatchNorm statistics read across samples, and the distill pass
+takes them over the parts' joined inputs.
+
 Models serialize to a JSON manifest plus a sidecar blob of little-endian
 float32 values, concatenated in layer declaration order, so a save/load
 round trip is bit-exact.
@@ -18,8 +24,13 @@ round trip is bit-exact.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -45,11 +56,13 @@ MODEL_FORMAT_VERSION = 1
 # memory grows neither with the batch nor with the feature map.
 BLOCK = 32
 _WINDOW_BYTES = 4 << 20
+# a part of a split pass sets .bytes, its share of _WINDOW_BYTES, on its own thread
+_budget = threading.local()
 
 
 def _block_samples(sample_bytes: int) -> int:
-    """Samples per conv block: at least 1, at most BLOCK, within _WINDOW_BYTES where one sample fits."""
-    return max(1, min(BLOCK, _WINDOW_BYTES // sample_bytes))
+    """Samples per conv block: at least 1, at most BLOCK, within the window budget where one sample fits."""
+    return max(1, min(BLOCK, getattr(_budget, "bytes", _WINDOW_BYTES) // sample_bytes))
 
 
 @dataclass
@@ -425,25 +438,113 @@ def _check_batch(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
     return b
 
 
-def _channel_stats(x: np.ndarray, target: tuple | None = None) -> tuple:
-    """Per-channel population mean and std of x, accumulated in float64, and a gradient term.
+# ---------------------------------------------------------------------------
+# sample parts
 
-    Given a target (mean, std), the term is the float32 gradient with respect
-    to x of their squared L2 distance to it, else None. Both paths give the
-    same statistics, bit for bit.
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS in NumPy's wheel, or None where none is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, put.argtypes, put.restype = ctypes.c_int, (ctypes.c_int,), None
+                    return get, put
+    return None
+
+
+def _parts(model: ModelGraph, batch: np.ndarray) -> int:
+    """How many sample parts a pass of `model` over `batch` runs in: 1, or one per usable CPU.
+
+    It splits only where OpenBLAS is found running one thread, whose second
+    thread would contend with a second part and buys next to nothing on
+    per-sample GEMMs, and only a batch of the model's input shape that the
+    largest conv needs more than one window block for; there are never more
+    parts than that conv's blocks.
     """
-    m = x.mean(axis=(0, 2, 3), dtype=np.float64)
+    blas = _openblas()
+    if blas is None or blas[0]() != 1 or np.shape(batch)[1:] != tuple(model.input_shape):
+        return 1
+    shapes = infer_shapes(model)
+    rows = max((math.prod(shapes[i][1:]) * lyr.kernel_h * lyr.kernel_w * lyr.in_channels * 4  # float32
+                for i, lyr in enumerate(model.layers) if isinstance(lyr, Conv2d)), default=0)
+    blocks = -(-len(batch) // _block_samples(rows)) if rows else 1
+    if blocks <= 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
+def _failure_order(exc: BaseException) -> tuple:
+    """Sort key of the errors of a split pass: any other error first, then by layer, the input batch lowest."""
+    if not isinstance(exc, NumericFailureError):
+        return (0, 0)
+    return (1, -1 if exc.layer_index is None else exc.layer_index)
+
+
+def _in_parts(fn, n: int, parts: int, barrier: threading.Barrier | None = None) -> list:
+    """[fn(k, lo, hi) for each part k] over `parts` contiguous ranges [lo, hi) of n samples.
+
+    Part 0 runs on this thread and every other part on a thread of its own,
+    each in a copy of this thread's context (NumPy's error state) and with
+    _WINDOW_BYTES // parts of window budget. A part that raises aborts
+    `barrier`, so that no other part waits at it for ever; once every part
+    has ended, the error raised is the one _failure_order puts first, never
+    the BrokenBarrierError of a part that the abort released.
+    """
+    bounds = [n * k // parts for k in range(parts + 1)]
+    results, errors = [None] * parts, []
+
+    def run(k):
+        _budget.bytes = _WINDOW_BYTES // parts
+        try:
+            results[k] = fn(k, bounds[k], bounds[k + 1])
+        except BaseException as exc:
+            errors.append(exc)
+            if barrier is not None:
+                barrier.abort()
+        finally:
+            del _budget.bytes
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, k), daemon=True)
+               for k in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    run(0)
+    for worker in workers:
+        worker.join()
+    errors = [exc for exc in errors if not isinstance(exc, threading.BrokenBarrierError)]
+    if errors:
+        raise min(errors, key=_failure_order)
+    return results
+
+
+def _channel_stats(x: np.ndarray) -> tuple:
+    """Per-channel population mean and std of x, accumulated in float64."""
+    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
     centered = x.astype(np.float64)
-    centered -= m[None, :, None, None]
-    std = np.sqrt(np.square(centered, out=centered if target is None else None).mean(axis=(0, 2, 3)))
-    if target is None:
-        return m, std, None
-    # dm + ds * centered, computed in place
-    u, sig = target
-    nhw = x.shape[0] * x.shape[2] * x.shape[3]
-    centered *= (2.0 * (std - sig) / (nhw * np.maximum(std, 1e-12)))[None, :, None, None]
-    centered += (2.0 * (m - u) / nhw)[None, :, None, None]
-    return m, std, centered.astype(np.float32)
+    centered -= mean[None, :, None, None]
+    return mean, np.sqrt(np.square(centered, out=centered).mean(axis=(0, 2, 3)))
+
+
+def _stat_grad(x: np.ndarray, stats: tuple, target: tuple, samples: int) -> np.ndarray:
+    """The float32 gradient with respect to x of the squared L2 distance of stats to target.
+
+    stats = (mean, std) were taken over `samples` samples, of which x holds
+    some or all; each entry of the term reads only its own entry of x.
+    """
+    (mean, std), (u, sig) = stats, target
+    nhw = samples * x.shape[2] * x.shape[3]
+    term = x.astype(np.float64)  # dm + ds * centered, computed in place
+    term -= mean[None, :, None, None]
+    term *= (2.0 * (std - sig) / (nhw * np.maximum(std, 1e-12)))[None, :, None, None]
+    term += (2.0 * (mean - u) / nhw)[None, :, None, None]
+    return term.astype(np.float32)
 
 
 def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
@@ -462,7 +563,7 @@ def forward(model: ModelGraph, batch: np.ndarray, record: bool = False):
         if isinstance(layer, WEIGHTED):
             trace.ranges[i] = np.array([x.min(), x.max()], dtype=np.float32)
         elif isinstance(layer, BatchNorm):
-            trace.bn_means[i], trace.bn_stds[i] = _channel_stats(x)[:2]
+            trace.bn_means[i], trace.bn_stds[i] = _channel_stats(x)
         return layer, x
 
     return run_layers(model, batch, observe if record else None, keep=False)[-1], trace
@@ -540,46 +641,74 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
     backward reads: each target's gradient term, each ReLU and AvgPool input,
     and the input shape of every other layer. With backward=False only the
     forward part runs and the gradient is None.
+
+    The pass runs in _parts sample parts. At each target the parts meet at a
+    barrier, whose action takes the statistics once over their joined inputs
+    (np.concatenate keeps the NHWC memory order, and so the reduction's
+    order); each part then builds its own gradient term from them.
     """
     batch = _check_batch(model, batch)
-    last = max(targets)
-    # grads[i] is the loss gradient at acts[i], None until a term reaches it;
-    # a first term is stored as is, which equals 0 + term except that a -0.0
-    # entry keeps its sign
-    grads, saved = [None] * (last + 1), [None] * (last + 1)
+    last, n, parts = max(targets), len(batch), _parts(model, batch)
     means, stds = {}, {}
+    joined = [None] * parts  # (target, input) of each part waiting at the barrier
 
-    def hook(i, layer, x):
-        if i in targets:
-            means[i], stds[i], grads[i] = _channel_stats(x, targets[i] if backward else None)
-        if backward:
-            saved[i] = x if isinstance(layer, (ReLU, AvgPool)) else x.shape
-        return layer, x
+    def take_stats():  # the barrier's action, or a plain call in a pass of one part
+        i, x = joined[0]
+        means[i], stds[i] = _channel_stats(x if parts == 1 else np.concatenate([x for _, x in joined]))
+        joined[:] = [None] * parts
 
-    # the last target's layer is past the truncated model, so its input gets the hook here
-    head = ModelGraph(model.layers[:last], model.input_shape, model.class_count)
-    hook(last, model.layers[last], run_layers(head, batch, hook, keep=False)[-1])
+    barrier = threading.Barrier(parts, take_stats) if parts > 1 else None
+
+    def part(k, lo, hi):
+        # grads[i] is the loss gradient at acts[i], None until a term reaches it;
+        # a first term is stored as is, which equals 0 + term except that a -0.0
+        # entry keeps its sign
+        grads, saved = [None] * (last + 1), [None] * (last + 1)
+
+        def hook(i, layer, x):
+            if i in targets:
+                joined[k] = (i, x)
+                if barrier is None:
+                    take_stats()
+                else:
+                    barrier.wait()
+                if backward:
+                    grads[i] = _stat_grad(x, (means[i], stds[i]), targets[i], n)
+            if backward:
+                saved[i] = x if isinstance(layer, (ReLU, AvgPool)) else x.shape
+            return layer, x
+
+        # the last target's layer is past the truncated model, so its input gets the hook here
+        head = ModelGraph(model.layers[:last], model.input_shape, model.class_count)
+        hook(last, model.layers[last], run_layers(head, batch[lo:hi], hook, keep=False)[-1])
+        if not backward:
+            return None
+
+        def add(i, g):
+            grads[i] = g if grads[i] is None else grads[i] + g
+
+        for i in range(last - 1, -1, -1):
+            g = grads[i + 1]
+            layer = model.layers[i]
+            if isinstance(layer, ResidualAdd):
+                add(i, g)
+                add(layer.source + 1, g)
+            else:
+                add(i, _backward_input(layer, saved[i], g))
+            # only layer i reads saved[i], and lower layers add only into
+            # grads[j] and grads[source + 1], both indices at most i
+            saved[i] = grads[i + 1] = None
+        return grads[0]
+
+    if parts == 1:
+        grad = part(0, 0, n)
+    else:
+        grads = _in_parts(part, n, parts, barrier)
+        grad = np.concatenate(grads) if backward else None
     trace = ForwardTrace(means, stds, {})
-    if not backward:
-        return trace, None
-
-    def add(i, g):
-        grads[i] = g if grads[i] is None else grads[i] + g
-
-    for i in range(last - 1, -1, -1):
-        g = grads[i + 1]
-        layer = model.layers[i]
-        if isinstance(layer, ResidualAdd):
-            add(i, g)
-            add(layer.source + 1, g)
-        else:
-            add(i, _backward_input(layer, saved[i], g))
-        # only layer i reads saved[i], and lower layers add only into
-        # grads[j] and grads[source + 1], both indices at most i
-        saved[i] = grads[i + 1] = None
-    if not np.isfinite(grads[0]).all():
+    if backward and not np.isfinite(grad).all():
         raise NumericFailureError("non-finite input gradient", layer_index=None)
-    return trace, grads[0]
+    return trace, grad
 
 
 def input_gradient(model: ModelGraph, batch: np.ndarray) -> np.ndarray:

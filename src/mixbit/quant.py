@@ -14,6 +14,7 @@ from the earlier pass it shares the longest prefix with.
 from __future__ import annotations
 
 import copy
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -279,7 +280,8 @@ def forward_all(qmodels: list, batch: np.ndarray) -> list:
     differ: the layer count for a duplicate, the first weighted layer for a
     model that shares no slot. That earlier pass keeps only what the
     resumptions read, the input of that layer and each residual source read
-    at or after it; every other pass keeps nothing.
+    at or after it; every other pass keeps nothing. The passes run in
+    model._parts sample parts, whose logits are joined.
     """
     base = qmodels[0].base
     if any(qm.base is not base for qm in qmodels):
@@ -294,10 +296,24 @@ def forward_all(qmodels: list, batch: np.ndarray) -> list:
         if start:
             keep[partner] |= {start} | {lyr.source + 1 for lyr in base.layers[start:]
                                         if isinstance(lyr, m.ResidualAdd) and lyr.source < start}
-    runs = []
-    for qm, kept, (partner, start) in zip(qmodels, keep, resume):
-        runs.append(_quantized_run(qm, batch, runs[partner][1:start + 1] if start else (), kept))
-    return [acts[-1] for acts in runs]
+
+    parts = m._parts(base, batch)
+    # the parts start each model's pass together, so that their peaks meet: a pass's peak memory is
+    # then the parts' summed peak whatever the thread schedule, not lower now and then
+    barrier = threading.Barrier(parts) if parts > 1 else None
+
+    def passes(xs):
+        runs = []
+        for qm, kept, (partner, start) in zip(qmodels, keep, resume):
+            if barrier is not None:
+                barrier.wait()
+            runs.append(_quantized_run(qm, xs, runs[partner][1:start + 1] if start else (), kept))
+        return [acts[-1] for acts in runs]
+
+    if parts == 1:
+        return passes(batch)
+    split = m._in_parts(lambda k, lo, hi: passes(batch[lo:hi]), len(batch), parts, barrier)
+    return [np.concatenate(logits) for logits in zip(*split)]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def _freeze_bn_stats(model: m.ModelGraph, seed: int) -> None:
 
     def freeze(i, layer, x):
         if isinstance(layer, m.BatchNorm):
-            mean, std = m._channel_stats(x)[:2]
+            mean, std = m._channel_stats(x)
             layer.running_mean = mean.astype(np.float32)
             layer.running_var = np.maximum(std ** 2, _VAR_FLOOR).astype(np.float32)
         return layer, x

@@ -280,14 +280,18 @@ def test_mqe_base_pass_keeps_only_what_its_sweeps_read():
 
 
 @pytest.mark.parametrize("name", ["toy_cnn", "res32_net"])
-def test_channel_stats_paths_give_the_same_statistics(name):
+def test_stat_grad_of_a_part_is_its_rows_of_the_whole_term(name):
     net = {"toy_cnn": zoo.toy_cnn, "res32_net": res32_net}[name](0)
     acts = m.run_layers(net, np.random.default_rng(3).standard_normal((33, *net.input_shape), dtype=np.float32))
     for i, target in m.bn_targets(net).items():
-        mean, std, none = m._channel_stats(acts[i])
-        target_mean, target_std, term = m._channel_stats(acts[i], target)
-        assert none is None and term.dtype == np.float32 and term.shape == acts[i].shape
-        assert _same_bits(mean, target_mean) and _same_bits(std, target_std)
+        x = acts[i]
+        stats = m._channel_stats(x)
+        # the statistics of joined parts are those of the whole input
+        assert all(_same_bits(a, b) for a, b in zip(m._channel_stats(np.concatenate([x[:16], x[16:]])), stats))
+        term = m._stat_grad(x, stats, target, 33)
+        assert term.dtype == np.float32 and term.shape == x.shape
+        parts = [m._stat_grad(x[lo:hi], stats, target, 33) for lo, hi in ((0, 1), (1, 16), (16, 33))]
+        assert _same_bits(np.concatenate(parts), term)
 
 
 def test_recorded_forward_peaks_no_higher_than_a_plain_one():
@@ -424,14 +428,33 @@ def test_planned_grids_unlike_the_uniform_ones_run_from_the_input(tmp_path):
 # BLAS threads
 
 
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def test_canonical_hash_does_not_depend_on_blas_threads(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(PYTHONPATH=str(Path(mixbit.__file__).parent.parent), MIXBIT_LOG="WARNING")
-    hashes = []
-    for threads in (None, "1"):
-        out = tmp_path / f"threads_{threads}"
+
+    def pipeline(out, *args, threads=None, preexec_fn=None):
         run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
-        subprocess.run([sys.executable, "-m", "mixbit.cli", "pipeline", "--out", str(out), "--seed", "0"],
-                       env=run_env, check=True, stdout=subprocess.DEVNULL)
-        hashes.append(json.loads((out / cli.ART_REPORT_JSON).read_text())["meta"]["canonical_sha256"])
+        subprocess.run([sys.executable, "-m", "mixbit.cli", "pipeline", "--out", str(out), "--seed", "0", *args],
+                       env=run_env, check=True, stdout=subprocess.DEVNULL, preexec_fn=preexec_fn)
+        return json.loads((out / cli.ART_REPORT_JSON).read_text())["meta"]["canonical_sha256"]
+
+    hashes = [pipeline(tmp_path / f"threads_{threads}", threads=threads) for threads in (None, "1")]
     assert hashes[0] == hashes[1]
+    # cli.main holds OpenBLAS to one thread and runs res32_net's distill, sense and eval passes as one
+    # sample part per usable CPU: on one CPU they run unsplit, and every artifact must keep its bytes
+    config = tmp_path / "res32.json"
+    config.write_text(json.dumps({"model": str(m.save_model(res32_net(0), tmp_path / "net.json")),
+                                  "distill": {"steps": 5}}))
+    outs = [tmp_path / "one_cpu", tmp_path / "every_cpu"]
+    hashes = [pipeline(outs[0], "--config", str(config), preexec_fn=_one_cpu),
+              pipeline(outs[1], "--config", str(config))]
+    assert hashes[0] == hashes[1]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != cli.ART_REPORT_JSON:  # whose timestamp differs
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -8,6 +8,8 @@ bits, not within a tolerance.
 import copy
 import functools
 import json
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,7 @@ from mixbit import cli, quant, zoo
 from mixbit import model as m
 from mixbit import sensitivity as sens
 from mixbit.distill import DistillConfig, _DIVERGENCE_FACTOR, _DIVERGENCE_PATIENCE, bn_stat_loss, synthesize
-from mixbit.errors import DivergenceError
+from mixbit.errors import DivergenceError, NumericFailureError
 from test_blocks import res32_net
 
 NETS = {"tiny_cnn": zoo.tiny_cnn, "toy_cnn": zoo.toy_cnn}
@@ -126,7 +128,7 @@ def _zero_initialized_gradient(net, x):
     acts = m.run_layers(net, x)
     grads = [np.zeros_like(a) for a in acts]
     for i, (u, sig) in m.bn_targets(net).items():
-        mean, std = m._channel_stats(acts[i])[:2]
+        mean, std = m._channel_stats(acts[i])
         nhw = acts[i].shape[0] * acts[i].shape[2] * acts[i].shape[3]
         dm = 2.0 * (mean - u) / nhw
         ds = 2.0 * (std - sig) / (nhw * np.maximum(std, 1e-12))
@@ -208,7 +210,7 @@ def _freeze_per_bn(net, seed):
     """The reference freeze: a full pass over the probe batch per BatchNorm, front to back."""
     probe = np.random.default_rng(seed).standard_normal((zoo._PROBE_BATCH, *net.input_shape), dtype=np.float32)
     for i in m.bn_layers(net):
-        mean, std = m._channel_stats(m.run_layers(net, probe)[i])[:2]
+        mean, std = m._channel_stats(m.run_layers(net, probe)[i])
         net.layers[i].running_mean = mean.astype(np.float32)
         net.layers[i].running_var = np.maximum(std ** 2, zoo._VAR_FLOOR).astype(np.float32)
 
@@ -470,6 +472,159 @@ def test_forward_all_refuses_models_of_two_networks():
     other = quant.quantize_model(zoo.toy_cnn(0), quant.BitConfig.uniform(5, 8), batch)
     with pytest.raises(ValueError):
         quant.forward_all([models[1], other], batch)
+
+
+# ---------------------------------------------------------------------------
+# sample parts
+
+
+@pytest.fixture
+def in_parts(monkeypatch):
+    """in_parts(k) makes every pass run in k sample parts (at most one a sample), whatever the gate would choose.
+
+    OpenBLAS runs one thread meanwhile, as it does in every pass the gate splits.
+    """
+    restore = cli._hold_blas_to_one_thread()
+    yield lambda parts: monkeypatch.setattr(m, "_parts", lambda model, batch: min(parts, len(batch)))
+    restore()
+
+
+def _split_models(net, batch):
+    """Uniform 32/8/4 and an alternating 4/8 mix, with activations at 8; one calibration pass."""
+    slots = len(m.weighted_layers(net))
+    _, calib = m.forward(net, batch, record=True)
+    mix = [(4, 8)[k % 2] for k in range(slots)]
+    configs = [quant.BitConfig.uniform(slots, b) for b in (32, 8, 4)] + [quant.BitConfig(mix, [8] * slots)]
+    return [quant.quantize_model(net, bits, batch, calib) for bits in configs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 64])
+@pytest.mark.parametrize("name", ["res32_net", "skip_net"])
+def test_forward_all_in_parts_is_the_serial_pass(name, n, in_parts):
+    net = FIXTURES[name](0)
+    batch = _batch(net, n, 40 + n)
+    models = _split_models(net, batch)
+    refs = [quant.quantized_forward(qm, batch) for qm in models]  # one unsplit pass each
+    for parts in (1, 2):
+        in_parts(parts)
+        got = quant.forward_all([*models, models[1]], batch)
+        assert all(_same_bits(z, want) for z, want in zip(got, [*refs, refs[1]]))
+
+
+# skip_net has no BatchNorm layer, so no statistic loss
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 64])
+@pytest.mark.parametrize("backward", [True, False])
+def test_stat_loss_and_gradient_in_parts_is_the_serial_pass(backward, n, in_parts):
+    net = res32_net(0)
+    x, targets = _batch(net, n, 50 + n), m.bn_targets(net)
+    in_parts(1)
+    trace, grad = m._stat_loss_and_gradient(net, x, targets, backward)
+    in_parts(2)
+    split, split_grad = m._stat_loss_and_gradient(net, x, targets, backward)
+    for stats, want in ((split.bn_means, trace.bn_means), (split.bn_stds, trace.bn_stds)):
+        assert list(stats) == list(want) and all(_same_bits(stats[i], want[i]) for i in want)
+    assert (grad is None and split_grad is None) if not backward else _same_bits(split_grad, grad)
+    if backward:
+        assert _same_bits(grad, m.input_gradient(net, x))
+
+
+def test_parts_of_a_split_pass_share_the_window_budget(monkeypatch, in_parts):
+    net = res32_net(0)
+    batch = _batch(net, 32, 5)
+    models = _split_models(net, batch)
+    budgets = []
+    gemm = m._window_gemm
+
+    def spy(*args):
+        budgets.append(getattr(m._budget, "bytes", None))
+        return gemm(*args)
+
+    monkeypatch.setattr(m, "_window_gemm", spy)
+    in_parts(1)
+    quant.forward_all(models, batch)
+    assert set(budgets) == {None}
+    in_parts(2)
+    quant.forward_all(models, batch)
+    assert set(budgets[len(budgets) // 2:]) == {m._WINDOW_BYTES // 2}
+    assert getattr(m._budget, "bytes", None) is None  # this thread's budget is back to the whole
+
+
+def test_only_a_pass_past_one_window_block_splits_and_only_on_one_blas_thread():
+    if m._openblas() is None:
+        pytest.skip("no OpenBLAS thread control in this NumPy")
+    res32, toy = res32_net(0), zoo.toy_cnn(0)
+    restore = cli._hold_blas_to_one_thread()
+    try:
+        # res32_net's widest conv rows take 294,912 bytes a sample: 14 samples a 4 MB block
+        cpus = len(os.sched_getaffinity(0))
+        assert m._parts(res32, _batch(res32, 14, 0)) == 1
+        assert m._parts(res32, _batch(res32, 15, 0)) == min(cpus, 2)
+        assert m._parts(res32, _batch(res32, 64, 0)) == min(cpus, 5)
+        assert m._parts(toy, _batch(toy, 32, 0)) == 1  # toy's passes fit in one block
+        assert m._parts(res32, np.zeros((64, 3, 31, 31), np.float32)) == 1  # the serial pass names the shape
+        _, put = m._openblas()
+        put(2)
+        assert m._parts(res32, _batch(res32, 64, 0)) == 1
+    finally:
+        restore()
+
+
+def _poisoned(net, n, at, value):
+    x = _batch(net, n, 60)
+    x[at] = value
+    return x
+
+
+def _failure(fn, seconds=60):
+    """The error fn raises, run on a thread of its own that must end within `seconds`."""
+    box = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:  # the test compares what a part raised
+            box.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "a part is still waiting"
+    assert box, "no error"
+    return box[0]
+
+
+def _split_calls(net, x):
+    targets, models = m.bn_targets(net), _split_models(net, _batch(net, 8, 61))
+    return {"distill": lambda: m._stat_loss_and_gradient(net, x, targets),
+            "distill forward": lambda: m._stat_loss_and_gradient(net, x, targets, backward=False),
+            "forward_all": lambda: quant.forward_all(models, x)}
+
+
+def _same_failure(in_parts, call):
+    in_parts(1)
+    want = _failure(call)
+    in_parts(2)
+    got = _failure(call)
+    assert type(got) is type(want) is NumericFailureError
+    assert (str(got), got.layer_index) == (str(want), want.layer_index)
+
+
+# A sample at 3e38 overflows in the first conv, before the first BatchNorm's barrier, and at 1e38 in the
+# second conv, past it; at 3e37 only forward_all fails, in its pool. NaN fails the input check.
+@pytest.mark.parametrize("call, value", [(call, value) for call in ("distill", "distill forward", "forward_all")
+                                         for value in (3e38, 1e38, np.nan)] + [("forward_all", 3e37)])
+def test_a_failure_in_one_part_is_the_serial_failure(call, value, in_parts):
+    net = res32_net(0)
+    x = _poisoned(net, 32, 20, value)  # sample 20 lies in the second half
+    _same_failure(in_parts, _split_calls(net, x)[call])
+
+
+@pytest.mark.parametrize("call", ["distill", "forward_all"])
+def test_the_lowest_failing_layer_across_parts_is_raised(call, in_parts):
+    net = res32_net(0)
+    x = _poisoned(net, 32, 3, 1e38)
+    x[25] = 3e38  # the second half fails at an earlier layer than the first
+    _same_failure(in_parts, _split_calls(net, x)[call])
 
 
 # ---------------------------------------------------------------------------
