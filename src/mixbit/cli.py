@@ -15,6 +15,7 @@ import ctypes
 import dataclasses
 import datetime
 import hashlib
+import io
 import json
 import logging
 import math
@@ -188,8 +189,19 @@ def _out(cfg: PipelineConfig) -> Path:
     return p
 
 
+def _write(path: Path, data) -> None:
+    """Write an artifact: text, bytes, or a function that writes it at path. An OSError raises ConfigError."""
+    try:
+        if callable(data):
+            data(path)
+        else:
+            path.write_bytes(data.encode() if isinstance(data, str) else data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifact {Path(exc.filename or path).name}: {exc}") from exc
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read_artifact(path: Path, parse):
@@ -223,7 +235,7 @@ def write_bundled_model(cfg: PipelineConfig, command: str) -> None:
         return
     net = zoo.toy_cnn(cfg.seed)
     if command in ("distill", "pipeline") or not path.exists():
-        m.save_model(net, path)
+        _write(path, lambda p: m.save_model(net, p))
         log.info("wrote bundled toy model to %s", path)
         return
     manifest, blob = m.model_files(net, path)
@@ -367,7 +379,7 @@ def stage_distill(cfg: PipelineConfig) -> SyntheticBatch:
     batch = synthesize(net, cfg.distill)
     out = _out(cfg)
     blob_name = "distilled.bin"
-    (out / blob_name).write_bytes(batch.data.astype("<f4").tobytes())
+    _write(out / blob_name, batch.data.astype("<f4").tobytes())
     _write_json(out / ART_DISTILLED, {
         "blob": blob_name,
         "shape": list(batch.data.shape),
@@ -399,7 +411,7 @@ def stage_profile(cfg: PipelineConfig) -> HwProfile:
     profile = profile_model(net, quant.BIT_CHOICES, cfg.hardware)
     out = _out(cfg)
     _write_json(out / ART_PROFILE_JSON, profile.to_dict())
-    profile.save_csv(out / ART_PROFILE_CSV)
+    _write(out / ART_PROFILE_CSV, profile.save_csv)
     log.info("profiled %d rows, l_max=%d", len(profile.rows), profile.bram.l_max)
     return profile
 
@@ -421,7 +433,7 @@ def stage_quantize(cfg: PipelineConfig) -> quant.QuantizedModel:
         layers.append(_QuantizedLayer(idx, net.layers[idx].kind, grid, ap))
         offset += codes.size
     out = _out(cfg)
-    (out / "quantized.bin").write_bytes(b"".join(codes.astype("<i1").tobytes() for codes in qm.weight_codes))
+    _write(out / "quantized.bin", b"".join(codes.astype("<i1").tobytes() for codes in qm.weight_codes))
     _write_json(out / ART_QUANTIZED, dataclasses.asdict(_QuantizedFile("quantized.bin", layers)))
     log.info("quantized model: %d weight codes", offset)
     return qm
@@ -565,12 +577,13 @@ def stage_report(cfg: PipelineConfig) -> dict:
     report = assemble_report(cfg)
     out = _out(cfg)
     _write_json(out / ART_REPORT_JSON, report)
-    with open(out / ART_REPORT_CSV, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, ("layer_index", "kind", "weight_elems", "omega", "omega_hat", "c_hat", "e_hat",
-                                     "score", "bits", "weight_size_bits", "compute", "transfer", "write_back",
-                                     "post_process", "total_cycles", "energy"), extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows({**r, **r["cycles"], "total_cycles": r["cycles"]["total"]} for r in report["layers"])
+    text = io.StringIO()
+    writer = csv.DictWriter(text, ("layer_index", "kind", "weight_elems", "omega", "omega_hat", "c_hat", "e_hat",
+                                   "score", "bits", "weight_size_bits", "compute", "transfer", "write_back",
+                                   "post_process", "total_cycles", "energy"), extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows({**r, **r["cycles"], "total_cycles": r["cycles"]["total"]} for r in report["layers"])
+    _write(out / ART_REPORT_CSV, text.getvalue())
     print(f"plan: {report['plan']['weight_bits']}  "
           f"size: {report['sizes']['weight_bits_total']}/{report['sizes']['limit_bits']} weight bits")
     for name, r in report["eval"]["variants"].items():

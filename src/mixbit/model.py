@@ -12,7 +12,7 @@ float64 batch statistics. The only backward pass is the input-batch gradient
 the calibration-data synthesizer needs; weights are never updated.
 
 A heavy pass may run its samples as contiguous parts, one thread each (see
-_parts). Every conv runs one GEMM per sample and every other layer is
+_in_parts). Every conv runs one GEMM per sample and every other layer is
 elementwise or per sample, so a part's rows are bitwise those of the whole
 batch; only BatchNorm statistics read across samples, and the distill pass
 takes them over the parts' joined inputs.
@@ -52,17 +52,17 @@ MODEL_FORMAT_VERSION = 1
 # Samples per block: evaluation runs its dataset in chunks of this size, and
 # the conv kernels copy NHWC window rows (and the input gradient's scatter its
 # column gradients) for at most this many samples at a time, and for fewer
-# where that many samples' rows would exceed _WINDOW_BYTES, so their working
-# memory grows neither with the batch nor with the feature map.
+# where that many samples' rows would exceed the window budget (_WINDOW_BYTES,
+# or a part's share of it), so their working memory grows neither with the
+# batch nor with the feature map.
 BLOCK = 32
 _WINDOW_BYTES = 4 << 20
-# a part of a split pass sets .bytes, its share of _WINDOW_BYTES, on its own thread
-_budget = threading.local()
+_budget = contextvars.ContextVar("_budget", default=_WINDOW_BYTES)
 
 
 def _block_samples(sample_bytes: int) -> int:
     """Samples per conv block: at least 1, at most BLOCK, within the window budget where one sample fits."""
-    return max(1, min(BLOCK, getattr(_budget, "bytes", _WINDOW_BYTES) // sample_bytes))
+    return max(1, min(BLOCK, _budget.get() // sample_bytes))
 
 
 @dataclass
@@ -459,23 +459,20 @@ def _openblas():
 
 
 def _parts(model: ModelGraph, batch: np.ndarray) -> int:
-    """How many sample parts a pass of `model` over `batch` runs in: 1, or one per usable CPU.
+    """How many sample parts a pass of `model` over a checked `batch` runs in: 1, or one per usable CPU.
 
-    It splits only where OpenBLAS is found running one thread, whose second
-    thread would contend with a second part and buys next to nothing on
-    per-sample GEMMs, and only a batch of the model's input shape that the
-    largest conv needs more than one window block for; there are never more
-    parts than that conv's blocks.
+    It splits only where OpenBLAS runs one thread (a second would contend with
+    a second part, and buys next to nothing on per-sample GEMMs), and only a
+    batch that its largest conv needs more than one window block for, in at
+    most that many parts.
     """
     blas = _openblas()
-    if blas is None or blas[0]() != 1 or np.shape(batch)[1:] != tuple(model.input_shape):
+    if blas is None or blas[0]() != 1:
         return 1
     shapes = infer_shapes(model)
     rows = max((math.prod(shapes[i][1:]) * lyr.kernel_h * lyr.kernel_w * lyr.in_channels * 4  # float32
                 for i, lyr in enumerate(model.layers) if isinstance(lyr, Conv2d)), default=0)
     blocks = -(-len(batch) // _block_samples(rows)) if rows else 1
-    if blocks <= 1:
-        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, blocks)
 
@@ -487,35 +484,46 @@ def _failure_order(exc: BaseException) -> tuple:
     return (1, -1 if exc.layer_index is None else exc.layer_index)
 
 
-def _in_parts(fn, n: int, parts: int, barrier: threading.Barrier | None = None) -> list:
-    """[fn(k, lo, hi) for each part k] over `parts` contiguous ranges [lo, hi) of n samples.
+def _join(arrays) -> np.ndarray:
+    """The parts' arrays joined along the samples; a lone part's array is returned as it is, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    Part 0 runs on this thread and every other part on a thread of its own,
-    each in a copy of this thread's context (NumPy's error state) and with
-    _WINDOW_BYTES // parts of window budget. A part that raises aborts
-    `barrier`, so that no other part waits at it for ever; once every part
-    has ended, the error raised is the one _failure_order puts first, never
-    the BrokenBarrierError of a part that the abort released.
+
+def _in_parts(model: ModelGraph, batch: np.ndarray, fn, meet=None) -> list:
+    """[fn(xs, gather) for the samples xs of each part] over the _parts(model, batch) parts of a checked batch.
+
+    gather(value) stores the part's value and waits for every part; the last
+    to arrive runs meet(the values in part order), if given, before any part
+    goes on. Part 0 runs on this thread and every other part on a thread of
+    its own, each in a copy of this thread's context (NumPy's error state) in
+    which _budget holds its share of the window budget. A part that raises
+    aborts the meeting; once every part has ended, the error raised is the
+    one _failure_order puts first, never a BrokenBarrierError the abort caused.
     """
-    bounds = [n * k // parts for k in range(parts + 1)]
-    results, errors = [None] * parts, []
+    parts = _parts(model, batch)
+    bounds = [len(batch) * k // parts for k in range(parts + 1)]
+    values, results, errors = [None] * parts, [None] * parts, []
+    barrier = threading.Barrier(parts, None if meet is None else lambda: meet(list(values)))
 
     def run(k):
-        _budget.bytes = _WINDOW_BYTES // parts
+        _budget.set(_budget.get() // parts)  # in a copy of the caller's context: a share of its budget
+
+        def gather(value):
+            values[k] = value
+            barrier.wait()
+            values[k] = None  # past the meeting, so that the pass can free what it gathered
+
         try:
-            results[k] = fn(k, bounds[k], bounds[k + 1])
+            results[k] = fn(batch[bounds[k]:bounds[k + 1]], gather)
         except BaseException as exc:
             errors.append(exc)
-            if barrier is not None:
-                barrier.abort()
-        finally:
-            del _budget.bytes
+            barrier.abort()
 
     workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, k), daemon=True)
                for k in range(1, parts)]
     for worker in workers:
         worker.start()
-    run(0)
+    contextvars.copy_context().run(run, 0)
     for worker in workers:
         worker.join()
     errors = [exc for exc in errors if not isinstance(exc, threading.BrokenBarrierError)]
@@ -642,24 +650,19 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
     and the input shape of every other layer. With backward=False only the
     forward part runs and the gradient is None.
 
-    The pass runs in _parts sample parts. At each target the parts meet at a
-    barrier, whose action takes the statistics once over their joined inputs
-    (np.concatenate keeps the NHWC memory order, and so the reduction's
-    order); each part then builds its own gradient term from them.
+    The pass runs in _in_parts sample parts, which meet at each target: the
+    statistics are taken once over their joined inputs (np.concatenate keeps
+    the NHWC memory order, and so the reduction's order).
     """
     batch = _check_batch(model, batch)
-    last, n, parts = max(targets), len(batch), _parts(model, batch)
+    last, n = max(targets), len(batch)
     means, stds = {}, {}
-    joined = [None] * parts  # (target, input) of each part waiting at the barrier
 
-    def take_stats():  # the barrier's action, or a plain call in a pass of one part
-        i, x = joined[0]
-        means[i], stds[i] = _channel_stats(x if parts == 1 else np.concatenate([x for _, x in joined]))
-        joined[:] = [None] * parts
+    def meet(inputs):  # each part's (target, input)
+        i = inputs[0][0]
+        means[i], stds[i] = _channel_stats(_join([x for _, x in inputs]))
 
-    barrier = threading.Barrier(parts, take_stats) if parts > 1 else None
-
-    def part(k, lo, hi):
+    def part(xs, gather):
         # grads[i] is the loss gradient at acts[i], None until a term reaches it;
         # a first term is stored as is, which equals 0 + term except that a -0.0
         # entry keeps its sign
@@ -667,11 +670,7 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
 
         def hook(i, layer, x):
             if i in targets:
-                joined[k] = (i, x)
-                if barrier is None:
-                    take_stats()
-                else:
-                    barrier.wait()
+                gather((i, x))
                 if backward:
                     grads[i] = _stat_grad(x, (means[i], stds[i]), targets[i], n)
             if backward:
@@ -680,7 +679,7 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
 
         # the last target's layer is past the truncated model, so its input gets the hook here
         head = ModelGraph(model.layers[:last], model.input_shape, model.class_count)
-        hook(last, model.layers[last], run_layers(head, batch[lo:hi], hook, keep=False)[-1])
+        hook(last, model.layers[last], run_layers(head, xs, hook, keep=False)[-1])
         if not backward:
             return None
 
@@ -700,15 +699,11 @@ def _stat_loss_and_gradient(model: ModelGraph, batch: np.ndarray, targets: dict,
             saved[i] = grads[i + 1] = None
         return grads[0]
 
-    if parts == 1:
-        grad = part(0, 0, n)
-    else:
-        grads = _in_parts(part, n, parts, barrier)
-        grad = np.concatenate(grads) if backward else None
-    trace = ForwardTrace(means, stds, {})
+    grads = _in_parts(model, batch, part, meet)
+    grad = _join(grads) if backward else None
     if backward and not np.isfinite(grad).all():
         raise NumericFailureError("non-finite input gradient", layer_index=None)
-    return trace, grad
+    return ForwardTrace(means, stds, {}), grad
 
 
 def input_gradient(model: ModelGraph, batch: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from the earlier pass it shares the longest prefix with.
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -229,10 +228,8 @@ def quantize_model(model: m.ModelGraph, bit_config: BitConfig, calib_batch: np.n
 
 
 def _quantized_run(qmodel: QuantizedModel, batch: np.ndarray, prefix=(), keep=False) -> list:
-    """run_layers over qmodel.base, each quantized slot's layer and input swapped for this step only."""
+    """run_layers over qmodel.base (validated) and a checked batch, each quantized slot's layer and input swapped."""
     model = qmodel.base
-    m.validate_model(model)
-    batch = m._check_batch(model, batch)
     slot_of = {idx: pos for pos, idx in enumerate(m.weighted_layers(model))}
 
     def hook(i, layer, x):
@@ -254,7 +251,8 @@ def quantized_forward(qmodel: QuantizedModel, batch: np.ndarray) -> np.ndarray:
     slots reuse the original tensors, so an all-32 config is bitwise the
     plain forward pass.
     """
-    return _quantized_run(qmodel, batch)[-1]
+    m.validate_model(qmodel.base)
+    return _quantized_run(qmodel, m._check_batch(qmodel.base, batch))[-1]
 
 
 def _shared_slots(a: QuantizedModel, b: QuantizedModel) -> int:
@@ -281,11 +279,13 @@ def forward_all(qmodels: list, batch: np.ndarray) -> list:
     model that shares no slot. That earlier pass keeps only what the
     resumptions read, the input of that layer and each residual source read
     at or after it; every other pass keeps nothing. The passes run in
-    model._parts sample parts, whose logits are joined.
+    model._in_parts sample parts, whose logits are joined.
     """
     base = qmodels[0].base
     if any(qm.base is not base for qm in qmodels):
         raise ValueError("forward_all needs quantized models of one base network")
+    m.validate_model(base)
+    batch = m._check_batch(base, batch)
     stops = [*m.weighted_layers(base), len(base.layers)]  # where two models that share n slots differ
     resume, keep = [], [set() for _ in qmodels]
     for k, qm in enumerate(qmodels):
@@ -297,23 +297,14 @@ def forward_all(qmodels: list, batch: np.ndarray) -> list:
             keep[partner] |= {start} | {lyr.source + 1 for lyr in base.layers[start:]
                                         if isinstance(lyr, m.ResidualAdd) and lyr.source < start}
 
-    parts = m._parts(base, batch)
-    # the parts start each model's pass together, so that their peaks meet: a pass's peak memory is
-    # then the parts' summed peak whatever the thread schedule, not lower now and then
-    barrier = threading.Barrier(parts) if parts > 1 else None
-
-    def passes(xs):
+    def passes(xs, gather):
         runs = []
         for qm, kept, (partner, start) in zip(qmodels, keep, resume):
-            if barrier is not None:
-                barrier.wait()
+            gather(None)  # the parts start each pass together, so it peaks at their summed peaks whatever the schedule
             runs.append(_quantized_run(qm, xs, runs[partner][1:start + 1] if start else (), kept))
         return [acts[-1] for acts in runs]
 
-    if parts == 1:
-        return passes(batch)
-    split = m._in_parts(lambda k, lo, hi: passes(batch[lo:hi]), len(batch), parts, barrier)
-    return [np.concatenate(logits) for logits in zip(*split)]
+    return [m._join(logits) for logits in zip(*m._in_parts(base, batch, passes))]
 
 
 # ---------------------------------------------------------------------------

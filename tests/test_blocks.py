@@ -1,12 +1,13 @@
 """Sample blocks: exact whatever the split, and bounded in memory.
 
 The conv kernels work at most m.BLOCK samples at a time, fewer where their
-window rows would exceed m._WINDOW_BYTES, and eval runs its dataset in chunks
-of m.BLOCK. All must give the bytes an unsplit computation gives, whatever
-the BLAS thread count, and eval's working memory must not grow with the
-number of eval samples.
+window rows would exceed the window budget m._budget, and eval runs its
+dataset in chunks of m.BLOCK. All must give the bytes an unsplit computation
+gives, whatever the BLAS thread count, and eval's working memory must not grow
+with the number of eval samples.
 """
 
+import contextvars
 import dataclasses
 import json
 import os
@@ -149,7 +150,7 @@ def test_conv_sub_blocks_match_per_sample_reference(n, stride, padding, samples,
     rng = np.random.default_rng(100 * n + 10 * stride + padding)
     layer = zoo._conv(rng, 3, 5, 3, stride=stride, padding=padding)
     x = rng.standard_normal((n, 3, 9, 9), dtype=np.float32)
-    monkeypatch.setattr(m, "_WINDOW_BYTES", _budget_for(samples, layer, x))
+    monkeypatch.setattr(m, "_budget", contextvars.ContextVar("budget", default=_budget_for(samples, layer, x)))
     _check_conv_against_reference(layer, x, rng)
 
 
@@ -161,7 +162,7 @@ def test_conv_geometries_in_sub_blocks_match_per_sample_reference(n, kh, kw, str
     rng = np.random.default_rng([n, kh, kw, stride, padding])
     layer = _conv_layer(rng, kh, kw, stride, padding)
     x = rng.standard_normal((n, 3, 7, 8), dtype=np.float32)
-    monkeypatch.setattr(m, "_WINDOW_BYTES", _budget_for(samples, layer, x))
+    monkeypatch.setattr(m, "_budget", contextvars.ContextVar("budget", default=_budget_for(samples, layer, x)))
     _check_conv_against_reference(layer, x, rng)
 
 

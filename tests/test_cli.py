@@ -449,6 +449,16 @@ class TestExitCodes:
         assert cli.main(["profile", "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: output_dir: cannot make directory {out}")
 
+    @pytest.mark.parametrize("name", [cli.ART_MODEL, "model.bin",
+                                      *(name for _, writes in cli._STAGES.values() for name in writes)])
+    def test_an_artifact_that_cannot_be_written_exits_2(self, tmp_path, capsys, name):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distill": {"steps": 2, "batch_size": 4}, "eval": {"samples": 8}}))
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)  # a directory where the artifact goes
+        assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write artifact {name}: ")
+
     def test_out_is_made_before_a_configured_model_runs(self, tmp_path, capsys):
         model = m.save_model(zoo.toy_cnn(0), tmp_path / "toy.json")
         config = tmp_path / "config.json"

@@ -5,10 +5,12 @@ package's fused, resumed or cached version must reproduce it with equal
 bits, not within a tolerance.
 """
 
+import contextvars
 import copy
 import functools
 import json
 import os
+import sys
 import threading
 from unittest import mock
 
@@ -20,7 +22,7 @@ from mixbit import cli, quant, zoo
 from mixbit import model as m
 from mixbit import sensitivity as sens
 from mixbit.distill import DistillConfig, _DIVERGENCE_FACTOR, _DIVERGENCE_PATIENCE, bn_stat_loss, synthesize
-from mixbit.errors import DivergenceError, NumericFailureError
+from mixbit.errors import DivergenceError, NumericFailureError, ShapeMismatchError
 from test_blocks import res32_net
 
 NETS = {"tiny_cnn": zoo.tiny_cnn, "toy_cnn": zoo.toy_cnn}
@@ -528,25 +530,77 @@ def test_stat_loss_and_gradient_in_parts_is_the_serial_pass(backward, n, in_part
         assert _same_bits(grad, m.input_gradient(net, x))
 
 
+def _caller_budget_untouched():
+    """This thread's context holds no budget of its own, so it reads the whole window budget."""
+    return m._budget not in contextvars.copy_context() and m._budget.get() == m._WINDOW_BYTES
+
+
 def test_parts_of_a_split_pass_share_the_window_budget(monkeypatch, in_parts):
     net = res32_net(0)
     batch = _batch(net, 32, 5)
     models = _split_models(net, batch)
-    budgets = []
-    gemm = m._window_gemm
+    budgets, gemm = {}, m._window_gemm
+    monkeypatch.setattr(m, "_window_gemm", lambda *args: budgets[parts].append(m._budget.get()) or gemm(*args))
+    for parts in (1, 2):
+        budgets[parts] = []
+        in_parts(parts)
+        quant.forward_all(models, batch)
+        assert budgets[parts] and set(budgets[parts]) == {m._WINDOW_BYTES // parts}
+        assert _caller_budget_untouched()
+    with pytest.raises(NumericFailureError):
+        quant.forward_all(models, _poisoned(net, 32, 20, 1e38))  # the second part raises
+    assert _caller_budget_untouched()
+
+
+def test_in_parts_meetings_read_each_part_s_value_once_and_in_part_order(monkeypatch):
+    # more parts than CPUs, switching threads as often as the interpreter can, must lose no value
+    monkeypatch.setattr(m, "_parts", lambda model, batch: 4)
+    x = np.arange(8, dtype=np.float32)  # part k holds samples 2k and 2k + 1
+    met = []
+
+    def part(xs, gather):
+        for step in range(200):
+            gather((step, int(xs[0])))
+        return len(xs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        box = []
+        worker = threading.Thread(target=lambda: box.append(m._in_parts(zoo.toy_cnn(0), x, part, met.append)),
+                                  daemon=True)
+        worker.start()
+        worker.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "a part is still waiting"
+    assert box == [[2, 2, 2, 2]]
+    assert met == [[(step, 0), (step, 2), (step, 4), (step, 6)] for step in range(200)]
+
+
+def test_a_pass_of_one_part_starts_no_thread_and_copies_no_result(monkeypatch, in_parts):
+    # in_parts holds OpenBLAS to one thread, so the gate itself picks one part: every toy pass fits one block
+    net = zoo.toy_cnn(0)
+    x = _batch(net, 32, 7)
+    qm = _split_models(net, x)[1]
+    runs = []
+    run = quant._quantized_run
 
     def spy(*args):
-        budgets.append(getattr(m._budget, "bytes", None))
-        return gemm(*args)
+        runs.append(run(*args))
+        return runs[-1]
 
-    monkeypatch.setattr(m, "_window_gemm", spy)
-    in_parts(1)
-    quant.forward_all(models, batch)
-    assert set(budgets) == {None}
-    in_parts(2)
-    quant.forward_all(models, batch)
-    assert set(budgets[len(budgets) // 2:]) == {m._WINDOW_BYTES // 2}
-    assert getattr(m._budget, "bytes", None) is None  # this thread's budget is back to the whole
+    def refuse(thread):
+        raise AssertionError("a pass of one part started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(quant, "_quantized_run", spy)
+    with mock.patch.object(np, "concatenate", wraps=np.concatenate) as concatenate:
+        logits = quant.forward_all([qm], x)[0]
+        for backward in (True, False):
+            m._stat_loss_and_gradient(net, x, m.bn_targets(net), backward)
+    assert logits is runs[0][-1]  # the logits the pass computed, not a copy of them
+    concatenate.assert_not_called()
 
 
 def test_only_a_pass_past_one_window_block_splits_and_only_on_one_blas_thread():
@@ -561,7 +615,6 @@ def test_only_a_pass_past_one_window_block_splits_and_only_on_one_blas_thread():
         assert m._parts(res32, _batch(res32, 15, 0)) == min(cpus, 2)
         assert m._parts(res32, _batch(res32, 64, 0)) == min(cpus, 5)
         assert m._parts(toy, _batch(toy, 32, 0)) == 1  # toy's passes fit in one block
-        assert m._parts(res32, np.zeros((64, 3, 31, 31), np.float32)) == 1  # the serial pass names the shape
         _, put = m._openblas()
         put(2)
         assert m._parts(res32, _batch(res32, 64, 0)) == 1
@@ -617,6 +670,21 @@ def test_a_failure_in_one_part_is_the_serial_failure(call, value, in_parts):
     net = res32_net(0)
     x = _poisoned(net, 32, 20, value)  # sample 20 lies in the second half
     _same_failure(in_parts, _split_calls(net, x)[call])
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_forward_all_checks_its_batch_as_quantized_forward_does(parts, in_parts):
+    net = res32_net(0)
+    qm = _split_models(net, _batch(net, 8, 61))[1]
+    in_parts(parts)
+    for x, error in ((np.zeros((32, 3, 31, 31), np.float32), ShapeMismatchError),
+                     (_poisoned(net, 32, 20, np.nan), NumericFailureError)):
+        with pytest.raises(error) as want:
+            quant.quantized_forward(qm, x)
+        with pytest.raises(error) as got:
+            quant.forward_all([qm, qm], x)
+        assert str(got.value) == str(want.value)
+    assert got.value.layer_index is None  # the input batch, not a layer
 
 
 @pytest.mark.parametrize("call", ["distill", "forward_all"])
