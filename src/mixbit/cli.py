@@ -228,7 +228,7 @@ def write_bundled_model(cfg: PipelineConfig, command: str) -> None:
     from the seed and overwrite whatever an earlier run left. Every other
     stage reads artifacts made from the model already there: it writes the
     model only when it is missing, and raises ConfigError when the one there
-    is not this seed's, instead of mixing two models in one run.
+    is unreadable or not this seed's, instead of mixing two models in one run.
     """
     path = _out(cfg) / ART_MODEL  # a bad output_dir exits before any stage works
     if cfg.model:
@@ -241,8 +241,8 @@ def write_bundled_model(cfg: PipelineConfig, command: str) -> None:
     manifest, blob = m.model_files(net, path)
     try:
         same = path.read_text() == manifest and m.blob_path_for(path).read_bytes() == blob
-    except OSError:
-        same = False
+    except OSError as exc:
+        raise ConfigError(f"cannot read artifact {Path(exc.filename or path).name}: {exc}") from exc
     if not same:
         raise ConfigError(f"{path} is not the bundled model for seed {cfg.seed}: the earlier stages ran "
                           f"with another --seed; give every stage the same --seed, or rerun `mixbit distill`")
@@ -660,20 +660,36 @@ def _fix_heap_thresholds() -> None:
     mallopt(-8, 1)  # M_ARENA_MAX
 
 
-def _hold_blas_to_one_thread():
-    """Set OpenBLAS to one thread, where it is found, and return what puts its earlier count back.
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS in NumPy's wheel, or None where none is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, put.argtypes, put.restype = ctypes.c_int, (ctypes.c_int,), None
+                    return get, put
+    return None
 
-    The heavy passes then run their samples as parts on the CPUs instead
-    (model._parts): on GEMMs of one sample each, OpenBLAS's own second thread
-    buys next to nothing.
+
+def _hold_blas_to_one_thread():
+    """Set OpenBLAS to one thread and model._max_parts to the usable CPU count, where OpenBLAS is found, and
+    return what puts both back.
+
+    The heavy passes then run their samples as parts on the CPUs (model._parts): on GEMMs of one
+    sample each, OpenBLAS's own second thread buys next to nothing, and would contend with a part.
     """
-    blas = m._openblas()
+    blas = _openblas()
     if blas is None:
         return lambda: None
     get, put = blas
     earlier = get()
     put(1)
-    return lambda: put(earlier)
+    token = m._max_parts.set(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    return lambda: (m._max_parts.reset(token), put(earlier))
 
 
 def main(argv=None) -> int:
@@ -682,7 +698,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    restore_blas = _hold_blas_to_one_thread()
+    restore = _hold_blas_to_one_thread()
     try:
         cfg = load_config(args.config, args)
         write_bundled_model(cfg, args.command)
@@ -701,7 +717,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     finally:
-        restore_blas()
+        restore()
 
 
 if __name__ == "__main__":

@@ -25,11 +25,8 @@ round trip is bit-exact.
 from __future__ import annotations
 
 import contextvars
-import ctypes
-import functools
 import json
 import math
-import os
 import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -58,6 +55,8 @@ MODEL_FORMAT_VERSION = 1
 BLOCK = 32
 _WINDOW_BYTES = 4 << 20
 _budget = contextvars.ContextVar("_budget", default=_WINDOW_BYTES)
+# The most sample parts a pass may run in: 1, every pass unsplit, unless the caller sets more (cli.main does).
+_max_parts = contextvars.ContextVar("_max_parts", default=1)
 
 
 def _block_samples(sample_bytes: int) -> int:
@@ -442,39 +441,19 @@ def _check_batch(model: ModelGraph, batch: np.ndarray) -> np.ndarray:
 # sample parts
 
 
-@functools.cache
-def _openblas():
-    """The (get, set) thread-count functions of the OpenBLAS in NumPy's wheel, or None where none is found."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.restype, put.argtypes, put.restype = ctypes.c_int, (ctypes.c_int,), None
-                    return get, put
-    return None
-
-
 def _parts(model: ModelGraph, batch: np.ndarray) -> int:
-    """How many sample parts a pass of `model` over a checked `batch` runs in: 1, or one per usable CPU.
+    """How many sample parts a pass of `model` over a checked `batch` runs in: 1, or at most _max_parts.
 
-    It splits only where OpenBLAS runs one thread (a second would contend with
-    a second part, and buys next to nothing on per-sample GEMMs), and only a
-    batch that its largest conv needs more than one window block for, in at
-    most that many parts.
+    Only a batch that its largest conv needs more than one window block for
+    splits, in at most that many parts.
     """
-    blas = _openblas()
-    if blas is None or blas[0]() != 1:
+    if _max_parts.get() == 1:
         return 1
     shapes = infer_shapes(model)
     rows = max((math.prod(shapes[i][1:]) * lyr.kernel_h * lyr.kernel_w * lyr.in_channels * 4  # float32
                 for i, lyr in enumerate(model.layers) if isinstance(lyr, Conv2d)), default=0)
     blocks = -(-len(batch) // _block_samples(rows)) if rows else 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, blocks)
+    return min(_max_parts.get(), blocks)
 
 
 def _failure_order(exc: BaseException) -> tuple:
@@ -497,27 +476,31 @@ def _in_parts(model: ModelGraph, batch: np.ndarray, fn, meet=None) -> list:
     goes on. Part 0 runs on this thread and every other part on a thread of
     its own, each in a copy of this thread's context (NumPy's error state) in
     which _budget holds its share of the window budget. A part that raises
-    aborts the meeting; once every part has ended, the error raised is the
-    one _failure_order puts first, never a BrokenBarrierError the abort caused.
+    aborts its next meeting, not its last, which may still be waking the parts
+    it released (meetings alternate two barriers). Once every part has ended,
+    the error raised is the one _failure_order puts first, never a BrokenBarrierError.
     """
     parts = _parts(model, batch)
     bounds = [len(batch) * k // parts for k in range(parts + 1)]
     values, results, errors = [None] * parts, [None] * parts, []
-    barrier = threading.Barrier(parts, None if meet is None else lambda: meet(list(values)))
+    barriers = [threading.Barrier(parts, None if meet is None else lambda: meet(list(values))) for _ in range(2)]
 
     def run(k):
         _budget.set(_budget.get() // parts)  # in a copy of the caller's context: a share of its budget
+        met = 0  # the meetings this part has passed
 
         def gather(value):
+            nonlocal met
             values[k] = value
-            barrier.wait()
+            barriers[met % 2].wait()
+            met += 1
             values[k] = None  # past the meeting, so that the pass can free what it gathered
 
         try:
             results[k] = fn(batch[bounds[k]:bounds[k + 1]], gather)
         except BaseException as exc:
             errors.append(exc)
-            barrier.abort()
+            barriers[met % 2].abort()
 
     workers = [threading.Thread(target=contextvars.copy_context().run, args=(run, k), daemon=True)
                for k in range(1, parts)]

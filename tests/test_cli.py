@@ -1,9 +1,12 @@
 import argparse
+import contextvars
 import copy
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
@@ -458,6 +461,40 @@ class TestExitCodes:
         (out / name).mkdir(parents=True)  # a directory where the artifact goes
         assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: cannot write artifact {name}: ")
+
+    @pytest.mark.parametrize("name, make", [(cli.ART_MODEL, Path.mkdir), ("model.bin", None)],
+                             ids=["model_json_is_a_directory", "model_bin_is_missing"])
+    def test_a_bundled_model_that_cannot_be_read_exits_2(self, tmp_path, capsys, name, make):
+        out = tmp_path / "o"
+        m.save_model(zoo.toy_cnn(0), out / cli.ART_MODEL)  # this seed's model, but for the file at fault
+        (out / name).unlink()
+        if make:
+            make(out / name)
+        assert cli.main(["sense", "--out", str(out), "--seed", "0"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read artifact {name}: ") and "another --seed" not in err
+
+    @pytest.mark.parametrize("argv, config, code", [
+        (["profile"], None, cli.EXIT_OK),
+        (["plan", "--ratio", "2"], None, cli.EXIT_CONFIG),
+        (["pipeline"], {"distill": {"steps": 50, "learning_rate": 120}}, cli.EXIT_NUMERIC),
+    ], ids=["ok", "bad_ratio", "diverged"])
+    def test_main_puts_back_the_blas_thread_count_and_the_part_count(self, tmp_path, argv, config, code):
+        blas = cli._openblas()
+
+        def read():
+            """OpenBLAS's thread count, the part count, and whether this context holds a part count of its own."""
+            return blas and blas[0](), m._max_parts.get(), m._max_parts in contextvars.copy_context()
+
+        before, during, write = read(), [], cli.write_bundled_model
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "config.json")]
+        with mock.patch.object(cli, "write_bundled_model", lambda *args: during.append(read()) or write(*args)):
+            assert cli.main([*argv, "--out", str(tmp_path / "o")]) == code
+        assert read() == before == (before[0], 1, False)
+        if blas is not None and code != cli.EXIT_CONFIG:
+            assert during == [(1, len(os.sched_getaffinity(0)), True)]
 
     def test_out_is_made_before_a_configured_model_runs(self, tmp_path, capsys):
         model = m.save_model(zoo.toy_cnn(0), tmp_path / "toy.json")

@@ -5,13 +5,18 @@ package's fused, resumed or cached version must reproduce it with equal
 bits, not within a tolerance.
 """
 
+import contextlib
 import contextvars
 import copy
 import functools
 import json
 import os
+import subprocess
 import sys
+import textwrap
 import threading
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -480,15 +485,26 @@ def test_forward_all_refuses_models_of_two_networks():
 # sample parts
 
 
+@contextlib.contextmanager
+def _max_parts(parts):
+    """m._max_parts reads `parts` in this thread meanwhile, as cli.main sets it to the usable CPU count."""
+    token = m._max_parts.set(parts)
+    try:
+        yield
+    finally:
+        m._max_parts.reset(token)
+
+
 @pytest.fixture
 def in_parts(monkeypatch):
     """in_parts(k) makes every pass run in k sample parts (at most one a sample), whatever the gate would choose.
 
-    OpenBLAS runs one thread meanwhile, as it does in every pass the gate splits.
+    The gate is open meanwhile, at two parts, as cli.main opens it on two CPUs. A part count is forced
+    by patching _parts, not by setting m._max_parts: a plain thread, such as _failure's, starts in an
+    empty context, as threads do by default, and would read the default of one part.
     """
-    restore = cli._hold_blas_to_one_thread()
-    yield lambda parts: monkeypatch.setattr(m, "_parts", lambda model, batch: min(parts, len(batch)))
-    restore()
+    with _max_parts(2):
+        yield lambda parts: monkeypatch.setattr(m, "_parts", lambda model, batch: min(parts, len(batch)))
 
 
 def _split_models(net, batch):
@@ -578,8 +594,23 @@ def test_in_parts_meetings_read_each_part_s_value_once_and_in_part_order(monkeyp
     assert met == [[(step, 0), (step, 2), (step, 4), (step, 6)] for step in range(200)]
 
 
-def test_a_pass_of_one_part_starts_no_thread_and_copies_no_result(monkeypatch, in_parts):
-    # in_parts holds OpenBLAS to one thread, so the gate itself picks one part: every toy pass fits one block
+def test_in_parts_a_part_the_last_meeting_released_runs_on_to_its_own_failure(monkeypatch):
+    # part 0 arrives last and fails at once, before part 1 has woken from the meeting it released: part 1
+    # must still run on and raise its own error, at an earlier layer, not a BrokenBarrierError
+    monkeypatch.setattr(m, "_parts", lambda model, batch: 2)
+
+    def part(xs, gather):
+        if xs[0] == 0:
+            time.sleep(0.05)  # so that part 1 waits first
+        gather(None)
+        raise NumericFailureError("failed", layer_index=5 if xs[0] == 0 else 1)
+
+    assert _failure(lambda: m._in_parts(zoo.toy_cnn(0), np.arange(2, dtype=np.float32), part)).layer_index == 1
+
+
+def test_a_pass_of_one_part_starts_no_thread_and_copies_no_result(monkeypatch):
+    # the gate is open, at more parts than a runner has CPUs, and itself picks one part: every toy pass
+    # fits one block
     net = zoo.toy_cnn(0)
     x = _batch(net, 32, 7)
     qm = _split_models(net, x)[1]
@@ -595,7 +626,7 @@ def test_a_pass_of_one_part_starts_no_thread_and_copies_no_result(monkeypatch, i
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     monkeypatch.setattr(quant, "_quantized_run", spy)
-    with mock.patch.object(np, "concatenate", wraps=np.concatenate) as concatenate:
+    with _max_parts(8), mock.patch.object(np, "concatenate", wraps=np.concatenate) as concatenate:
         logits = quant.forward_all([qm], x)[0]
         for backward in (True, False):
             m._stat_loss_and_gradient(net, x, m.bn_targets(net), backward)
@@ -603,23 +634,50 @@ def test_a_pass_of_one_part_starts_no_thread_and_copies_no_result(monkeypatch, i
     concatenate.assert_not_called()
 
 
-def test_only_a_pass_past_one_window_block_splits_and_only_on_one_blas_thread():
-    if m._openblas() is None:
-        pytest.skip("no OpenBLAS thread control in this NumPy")
+def test_only_a_pass_past_one_window_block_splits_and_only_in_as_many_parts_as_max_parts():
     res32, toy = res32_net(0), zoo.toy_cnn(0)
-    restore = cli._hold_blas_to_one_thread()
-    try:
-        # res32_net's widest conv rows take 294,912 bytes a sample: 14 samples a 4 MB block
-        cpus = len(os.sched_getaffinity(0))
-        assert m._parts(res32, _batch(res32, 14, 0)) == 1
-        assert m._parts(res32, _batch(res32, 15, 0)) == min(cpus, 2)
-        assert m._parts(res32, _batch(res32, 64, 0)) == min(cpus, 5)
-        assert m._parts(toy, _batch(toy, 32, 0)) == 1  # toy's passes fit in one block
-        _, put = m._openblas()
-        put(2)
-        assert m._parts(res32, _batch(res32, 64, 0)) == 1
-    finally:
-        restore()
+    for most in (2, 4, 8):
+        with _max_parts(most):
+            # res32_net's widest conv rows take 294,912 bytes a sample: 14 samples a 4 MB block
+            assert m._parts(res32, _batch(res32, 14, 0)) == 1
+            assert m._parts(res32, _batch(res32, 15, 0)) == 2
+            assert m._parts(res32, _batch(res32, 64, 0)) == min(most, 5)
+            assert m._parts(toy, _batch(toy, 32, 0)) == 1  # toy's passes fit in one block
+    assert m._max_parts.get() == 1  # the default: every pass runs unsplit
+    for n in (14, 15, 64, 128):
+        assert m._parts(res32, _batch(res32, n, 0)) == 1
+
+
+def test_a_pass_outside_cli_main_never_splits(tmp_path):
+    # a pass outside cli.main runs unsplit, also where OpenBLAS runs one thread, as cli.main holds it
+    script = tmp_path / "library_pass.py"
+    script.write_text(textwrap.dedent("""
+        import threading
+
+        import numpy as np
+
+        from mixbit import cli, quant
+        from mixbit import model as m
+        from mixbit.distill import DistillConfig, synthesize
+        from test_blocks import res32_net
+
+        blas = cli._openblas()
+        assert blas is None or blas[0]() == 1, "OpenBLAS runs more than one thread"
+
+        def refuse(thread):
+            raise AssertionError("a pass outside cli.main started a thread")
+
+        net = res32_net(0)
+        x = np.random.default_rng(3).standard_normal((32, *net.input_shape), dtype=np.float32)
+        slots = len(m.weighted_layers(net))
+        models = [quant.quantize_model(net, quant.BitConfig.uniform(slots, b), x) for b in (8, 4)]
+        threading.Thread.start = refuse
+        synthesize(net, DistillConfig(steps=2, batch_size=32))
+        quant.forward_all(models, x)
+    """))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "MIXBIT_LOG": "WARNING",
+           "PYTHONPATH": os.pathsep.join([str(Path(m.__file__).parent.parent), str(Path(__file__).parent)])}
+    subprocess.run([sys.executable, str(script)], env=env, check=True)
 
 
 def _poisoned(net, n, at, value):
