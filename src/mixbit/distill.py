@@ -1,9 +1,9 @@
 """Data-free calibration batches distilled from batch-norm statistics.
 
 A synthetic batch starts as seeded standard-normal noise and is pushed by
-plain gradient descent until the per-channel mean and std observed at every
-BatchNorm input match that layer's stored running statistics. No labels, no
-real data, and no weight updates are involved.
+Adam (Kingma & Ba, 2015), as in ZeroQ, until the per-channel mean and std
+observed at every BatchNorm input match that layer's stored running
+statistics. No labels, no real data, and no weight updates are involved.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import DivergenceError, RangeError, UnsupportedLayerError
 @dataclass(frozen=True)
 class DistillConfig:
     batch_size: int = 32
-    steps: int = 50
-    learning_rate: float = 1.0
+    steps: int = 5
+    learning_rate: float = 0.03
     seed: int = 0
 
     def __post_init__(self):
@@ -62,11 +62,25 @@ def bn_stat_loss(trace: m.ForwardTrace, model: m.ModelGraph, targets: dict | Non
 _DIVERGENCE_PATIENCE = 50
 _DIVERGENCE_FACTOR = 10.0
 
+# Adam's moment decay rates and the term that keeps its step's denominator positive
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
 
 # an overflowing step fails the next pass's finiteness check, which names the layer
 @np.errstate(over="ignore", invalid="ignore")
 def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> SyntheticBatch:
-    """Distill a calibration batch by descending the statistic-matching loss.
+    """Distill a calibration batch by descending the statistic-matching loss with Adam.
+
+    Step t updates the moments m and v and the batch x from the gradient g as
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        x -= m / (sqrt(v / (1 - b2**t)) + eps) * (lr / (1 - b1**t))
+    with b1, b2 and eps the _ADAM_* constants. x, m, v and every product are
+    float32; the coefficients 1 - b1, 1 - b2, the bias-correction factor
+    1 - b2**t and the step size lr / (1 - b1**t) are computed in float64 and
+    rounded to float32 once.
 
     Deterministic for a fixed (model, config): the start point comes from
     numpy's default generator seeded with config.seed and every following
@@ -88,12 +102,25 @@ def synthesize(model: m.ModelGraph, config: DistillConfig = DistillConfig()) -> 
     trace, grad = m._stat_loss_and_gradient(model, x, targets)
     initial = bn_stat_loss(trace, model, targets)
     threshold = _DIVERGENCE_FACTOR * max(initial, 1e-30)
-    lr = np.float32(config.learning_rate)
+    b1, b2, eps = np.float32(_ADAM_BETA1), np.float32(_ADAM_BETA2), np.float32(_ADAM_EPSILON)
+    c1, c2 = np.float32(1 - _ADAM_BETA1), np.float32(1 - _ADAM_BETA2)
+    mean, var = np.zeros_like(x), np.zeros_like(x)
 
     history = []
     bad_streak = 0
     for step in range(1, config.steps + 1):
-        x = x - lr * grad
+        # in place, with the pass's fresh gradient as the scratch buffer
+        mean *= b1
+        mean += c1 * grad
+        grad *= grad
+        var *= b2
+        var += c2 * grad
+        np.divide(var, np.float32(1 - _ADAM_BETA2**step), out=grad)
+        np.sqrt(grad, out=grad)
+        grad += eps
+        np.divide(mean, grad, out=grad)
+        grad *= np.float32(config.learning_rate / (1 - _ADAM_BETA1**step))
+        x -= grad
         # one pass gives this step's loss and the next step's gradient, which
         # the last step does not need
         trace, grad = m._stat_loss_and_gradient(model, x, targets, backward=step < config.steps)

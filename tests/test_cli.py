@@ -950,17 +950,18 @@ class TestExitCodes:
         assert "numeric failure" in capsys.readouterr().err
 
     def test_pipeline_whose_distill_ends_diverged_exits_4(self, tmp_path, capsys):
-        # 49 of the 50 steps sit above the threshold, so no streak reaches the patience of 50
+        # the default 5 steps cannot build a streak of 50, but each ends above the threshold
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"distill": {"steps": 50, "learning_rate": 120}}))
+        path.write_text(json.dumps({"distill": {"learning_rate": 1}}))
         assert cli.main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
         assert "numeric failure: final loss" in capsys.readouterr().err
         assert not (tmp_path / "o" / cli.ART_DISTILLED).exists()
 
     def test_overflowing_distill_step_exits_4(self, tmp_path, capsys):
-        # the step's overflow reaches the next pass's batch check, with no warning printed
+        # Adam's first step moves each input by about the learning rate, so only a step size past
+        # float32's range overflows; it reaches the next pass's batch check, with no warning printed
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"distill": {"learning_rate": 1e30, "steps": 60, "batch_size": 4}}))
+        path.write_text(json.dumps({"distill": {"learning_rate": 1e38, "batch_size": 4}}))
         assert cli.main(["distill", "--config", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
         assert "numeric failure: non-finite values in input batch" in capsys.readouterr().err
 
@@ -1059,5 +1060,5 @@ class TestLoadConfig:
         assert cfg.planner.ratio == 0.5
         assert cfg.planner.activation_bits == "plan"
         assert cfg.sensitivity.method == "mqe"
-        assert (cfg.distill.steps, cfg.distill.learning_rate) == (50, 1.0)
+        assert (cfg.distill.steps, cfg.distill.learning_rate) == (5, 0.03)
         assert cfg.eval.samples == 256

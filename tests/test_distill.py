@@ -116,17 +116,17 @@ class TestSynthesize:
 
     def test_diverges_with_oversized_learning_rate(self):
         net = zoo.bn_passthrough_net()
-        cfg = distill.DistillConfig(batch_size=4, steps=100, learning_rate=40.0)
-        with pytest.raises(DivergenceError):
+        cfg = distill.DistillConfig(batch_size=4, steps=100, learning_rate=500.0)
+        with pytest.raises(DivergenceError, match="consecutive steps"):
             distill.synthesize(net, cfg)
 
     def test_diverges_when_the_returned_batch_is_above_the_threshold(self):
-        # 49 of the 50 steps sit above the threshold, a streak one short of the patience
-        cfg = distill.DistillConfig(batch_size=4, steps=50, learning_rate=50.0)
+        # every one of the default 5 steps sits above the threshold, a streak far short of the patience
+        cfg = distill.DistillConfig(batch_size=4, learning_rate=1.0)
         with pytest.raises(DivergenceError, match="final loss"):
             distill.synthesize(zoo.tiny_cnn(0), cfg)
 
-    @pytest.mark.parametrize("learning_rate", [70.0, 100.0])
+    @pytest.mark.parametrize("learning_rate", [1.0, 3.0])
     def test_spikes_that_recover_pass(self, learning_rate):
         net = zoo.toy_cnn(0)
         cfg = distill.DistillConfig(steps=50, learning_rate=learning_rate)
@@ -135,6 +135,24 @@ class TestSynthesize:
         _, trace = m.forward(net, x0, record=True)
         threshold = distill._DIVERGENCE_FACTOR * distill.bn_stat_loss(trace, net)
         assert max(out.loss_history) > threshold >= out.final_loss
+
+    def test_default_descent_runs_one_pass_a_step_and_one_more(self, monkeypatch):
+        fused, passes = m._stat_loss_and_gradient, []
+        monkeypatch.setattr(m, "_stat_loss_and_gradient", lambda *args, **kw: passes.append(1) or fused(*args, **kw))
+        distill.synthesize(zoo.toy_cnn(0))
+        assert len(passes) == distill.DistillConfig().steps + 1 == 6
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_descent_ends_below_fifty_plain_steps(self, seed):
+        net = zoo.toy_cnn(seed)
+        targets = m.bn_targets(net)
+        x = np.random.default_rng(seed).standard_normal((32, *net.input_shape), dtype=np.float32)
+        for _ in range(50):  # plain descent at learning rate 1.0
+            x = x - np.float32(1.0) * m.input_gradient(net, x)
+        _, trace = m.forward(net, x, record=True)
+        out = distill.synthesize(net, distill.DistillConfig(seed=seed))
+        # strictly below: a default of 50 plain steps at 1.0 would tie
+        assert out.final_loss < distill.bn_stat_loss(trace, net, targets)
 
     def test_requires_batch_norm(self):
         with pytest.raises(UnsupportedLayerError):
